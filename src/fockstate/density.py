@@ -23,7 +23,15 @@ the outcome.
 
 Blocks may be stored dense or as :class:`Rank1Block`; the rank-one form
 keeps deep truncations affordable when a state's blocks are outer products,
-as they are for the product-state extensions.
+as they are for the product-state extensions.  ``+`` and ``-`` keep a block
+as it is when only one operand holds it, so a mixture keeps the rank-one
+blocks of its extension part; blocks held by both operands are summed dense.
+The corner positivity checks diagonalize each corner on the span of its
+stored blocks: a level without blocks adds no rows, a level holding only
+rank-one blocks adds at most one row per distinct factor, and any other
+level adds all of its n^k rows.  Their cost therefore follows the stored levels and
+the rank of their blocks; :meth:`BlockOperatorMatrix.corner` is still the
+dense view.
 """
 
 from __future__ import annotations
@@ -116,6 +124,14 @@ def _block_trace(block) -> complex:
     if isinstance(block, Rank1Block):
         return complex(block.trace())
     return complex(np.trace(block))
+
+
+def _min_eigenvalue(hermitian: np.ndarray) -> float:
+    """Smallest eigenvalue, or NaN when an entry is not finite (the
+    eigensolver may drop a NaN and return finite eigenvalues)."""
+    if not np.isfinite(hermitian).all():
+        return float("nan")
+    return float(np.linalg.eigvalsh(hermitian)[0])
 
 
 def _ptrace_last(block, n: int, rows: int, cols: int) -> np.ndarray:
@@ -344,12 +360,10 @@ class BlockOperatorMatrix:
     def __add__(self, other: "BlockOperatorMatrix") -> "BlockOperatorMatrix":
         if not self.ctx.compatible(other.ctx):
             raise AlphabetMismatchError("matrices live on different spaces")
-        acc = {key: _dense(blk).copy() for key, blk in self.blocks.items()}
+        acc = dict(self.blocks)
         for key, blk in other.blocks.items():
-            if key in acc:
-                acc[key] = acc[key] + _dense(blk)
-            else:
-                acc[key] = _dense(blk)
+            mine = acc.get(key)
+            acc[key] = blk if mine is None else _dense(mine) + _dense(blk)
         return BlockOperatorMatrix(self.ctx, acc, min(self.horizon, other.horizon))
 
     def __sub__(self, other: "BlockOperatorMatrix") -> "BlockOperatorMatrix":
@@ -365,24 +379,80 @@ class BlockOperatorMatrix:
 
     # -- positivity ------------------------------------------------------------
 
+    def _compressed(self, level_limit: int) -> tuple[np.ndarray, list[int]]:
+        """The matrix on levels 0..level_limit as M = Q^H Omega Q.
+
+        Q is block diagonal with one block of orthonormal columns per level:
+        none for a level without stored blocks, a basis of the distinct
+        factors for a level whose blocks are all rank-one, and the identity
+        otherwise.  Every corner of Omega is Q M Q^H on the leading rows of
+        M, so it has the eigenvalues of that part of M plus zeros.  Returns
+        M and the offsets of the levels' rows in it.  When every level gets
+        the identity, M is exactly ``corner(level_limit)``.
+        """
+        inside = {key: blk for key, blk in self.blocks.items()
+                  if max(key) <= level_limit}
+        factors = {}
+        dense_levels = set()
+        for (i, j), blk in inside.items():
+            if isinstance(blk, Rank1Block):
+                factors.setdefault(i, {})[id(blk.left)] = blk.left
+                factors.setdefault(j, {})[id(blk.right)] = blk.right
+            else:
+                dense_levels.update((i, j))
+        bases, offsets = {}, [0]
+        for level in range(level_limit + 1):
+            dim = self.ctx.dim(level)
+            vectors = factors.get(level, {})
+            if level in dense_levels or len(vectors) >= dim:
+                size = dim
+            elif vectors:
+                bases[level] = np.linalg.qr(np.column_stack(list(vectors.values())))[0]
+                size = bases[level].shape[1]
+            else:
+                size = 0
+            offsets.append(offsets[-1] + size)
+        out = np.zeros((offsets[-1], offsets[-1]), dtype=complex)
+        for (i, j), blk in inside.items():
+            rows = slice(offsets[i], offsets[i + 1])
+            cols = slice(offsets[j], offsets[j + 1])
+            if isinstance(blk, Rank1Block):
+                left = blk.left if i not in bases else bases[i].conj().T @ blk.left
+                right = blk.right if j not in bases else bases[j].conj().T @ blk.right
+                out[rows, cols] = blk.coeff * np.outer(left, right.conj())
+            else:
+                out[rows, cols] = blk
+        return out, offsets
+
     def is_positive(self, tol_scale: float = PSD_TOL_SCALE,
                     level_limit: int | None = None) -> CheckResult:
         """Check every corner up to the horizon for positive semidefiniteness.
 
         Each corner is allowed eigenvalues down to -tol_scale * max(1, trace).
+        The eigenvalues come from the compressed matrix of :meth:`_compressed`,
+        so the cost follows the stored levels and the rank of their blocks
+        rather than the corner's n^k rows.
         """
         if level_limit is None:
             level_limit = self.horizon
+        if level_limit > self.ctx.depth:
+            raise ValueError(f"corner {level_limit} outside depth {self.ctx.depth}")
+        if level_limit < 0:
+            return CheckResult(True, (), ())
+        compressed, offsets = self._compressed(level_limit)
+        compressed = 0.5 * (compressed + compressed.conj().T)
         mins, tols = [], []
         ok = True
-        for k in range(max(level_limit, -1) + 1):
-            corner = self.corner(k)
-            corner = 0.5 * (corner + corner.conj().T)
-            eigs = np.linalg.eigvalsh(corner)
+        for k in range(level_limit + 1):
+            rank = offsets[k + 1]
+            corner = compressed[:rank, :rank]
+            lowest = _min_eigenvalue(corner) if rank else 0.0
+            if rank < self.ctx.level_offsets[k + 1] and lowest > 0:
+                lowest = 0.0
             tol = tol_scale * max(1.0, abs(float(np.trace(corner).real)))
-            mins.append(float(eigs[0]))
+            mins.append(lowest)
             tols.append(tol)
-            if eigs[0] < -tol:
+            if not lowest >= -tol:
                 ok = False
         return CheckResult(ok, tuple(mins), tuple(tols))
 
@@ -547,11 +617,11 @@ def gram_positivity_check(matrix: BlockOperatorMatrix,
     for elements in element_sets:
         g = gram_matrix(matrix, elements)
         g = 0.5 * (g + g.conj().T)
-        eigs = np.linalg.eigvalsh(g)
+        lowest = _min_eigenvalue(g)
         tol = tol_scale * max(1.0, abs(float(np.trace(g).real)))
-        mins.append(float(eigs[0]))
+        mins.append(lowest)
         tols.append(tol)
-        if eigs[0] < -tol:
+        if not lowest >= -tol:
             ok = False
     return CheckResult(ok, tuple(mins), tuple(tols))
 

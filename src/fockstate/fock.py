@@ -26,6 +26,8 @@ than only below the horizon.
 
 from __future__ import annotations
 
+from itertools import chain
+
 import numpy as np
 
 from .errors import AlphabetMismatchError, LetterRangeError, SchemaError
@@ -332,6 +334,38 @@ class FockOperator:
         return cls.from_blocks(ctx, blocks)
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_number_pair(pair) -> bool:
+    return (isinstance(pair, list) and len(pair) == 2
+            and all(type(x) in (int, float) for x in pair))
+
+
+def _entries_array(entries: list, i: int, j: int) -> np.ndarray:
+    """Decode a list of [re, im] pairs of finite JSON numbers (not booleans).
+
+    The checks run over the whole list at once; only a rejected block is
+    searched for the first bad entry.
+    """
+    values = None
+    if set(map(type, entries)) <= {list} and set(map(len, entries)) <= {2}:
+        values = list(chain.from_iterable(entries))
+    if values is None or not set(map(type, values)) <= {int, float}:
+        t = next(t for t, pair in enumerate(entries) if not _is_number_pair(pair))
+        raise SchemaError(f"entry {t} of block ({i},{j}) must be [re, im]")
+    try:
+        pairs = np.array(values, dtype=float)
+    except OverflowError:
+        raise SchemaError(f"block ({i},{j}) has an entry beyond the float range") from None
+    finite = np.isfinite(pairs)
+    if not finite.all():
+        t = int(np.argmin(finite)) // 2
+        raise SchemaError(f"entry {t} of block ({i},{j}) is not a finite number")
+    return pairs.view(complex)
+
+
 def _blocks_from_payload(payload: dict) -> dict:
     """Validate and decode the shared {n, K, blocks} layout."""
     if not isinstance(payload, dict):
@@ -343,7 +377,7 @@ def _blocks_from_payload(payload: dict) -> dict:
         if key not in payload:
             raise SchemaError(f"operator payload missing key {key!r}")
     n, depth = payload["n"], payload["K"]
-    if not isinstance(n, int) or not isinstance(depth, int):
+    if not _is_int(n) or not _is_int(depth):
         raise SchemaError("'n' and 'K' must be integers")
     if n < 1 or depth < 0:
         raise SchemaError(f"invalid sizes n={n}, K={depth}")
@@ -360,7 +394,7 @@ def _blocks_from_payload(payload: dict) -> dict:
             i, j, entries = rec["i"], rec["j"], rec["entries"]
         except KeyError as exc:
             raise SchemaError(f"block missing key {exc.args[0]!r}") from None
-        if not isinstance(i, int) or not isinstance(j, int):
+        if not _is_int(i) or not _is_int(j):
             raise SchemaError("block indices must be integers")
         if not 0 <= i <= depth or not 0 <= j <= depth:
             raise SchemaError(f"block ({i},{j}) outside levels 0..{depth}")
@@ -369,17 +403,9 @@ def _blocks_from_payload(payload: dict) -> dict:
             raise SchemaError(
                 f"block ({i},{j}) needs {rows * cols} entries"
             )
-        flat = np.empty(rows * cols, dtype=complex)
-        for t, pair in enumerate(entries):
-            if (not isinstance(pair, list) or len(pair) != 2
-                    or not all(isinstance(x, (int, float)) for x in pair)):
-                raise SchemaError(
-                    f"entry {t} of block ({i},{j}) must be [re, im]"
-                )
-            flat[t] = complex(pair[0], pair[1])
         if (i, j) in blocks:
             raise SchemaError(f"duplicate block ({i},{j})")
-        blocks[(i, j)] = flat.reshape(rows, cols)
+        blocks[(i, j)] = _entries_array(entries, i, j).reshape(rows, cols)
     return blocks
 
 

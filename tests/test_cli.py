@@ -172,6 +172,50 @@ class TestCheck:
         ) == 0
 
 
+class TestRejectsBadNumbers:
+    """Non-finite and boolean numbers in a state file are input errors."""
+
+    NAN_STATE = '{"n":2,"K":1,"blocks":[{"i":0,"j":0,"entries":[[NaN,0.0]]}]}'
+
+    def state(self, tmp_path, text):
+        path = tmp_path / "state.json"
+        path.write_text(text)
+        return str(path)
+
+    def test_nan_positivity_is_input_error(self, tmp_path, capsys):
+        state = self.state(tmp_path, self.NAN_STATE)
+        assert main(["check", state, "--what", "positivity"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "not a finite number" in captured.err
+
+    def test_nan_eval_is_input_error(self, tmp_path, capsys):
+        state = self.state(tmp_path, self.NAN_STATE)
+        assert main(["eval", state, "1"]) == 2
+        assert capsys.readouterr().out == ""
+
+    def test_infinity_is_input_error(self, tmp_path):
+        text = self.NAN_STATE.replace("NaN", "-Infinity")
+        assert main(["eval", self.state(tmp_path, text), "1"]) == 2
+
+    def test_boolean_size_is_input_error(self, tmp_path):
+        text = self.NAN_STATE.replace('"n":2', '"n":true').replace("NaN", "1.0")
+        assert main(["check", self.state(tmp_path, text), "--what", "positivity"]) == 2
+
+    def test_boolean_entries_are_input_error(self, tmp_path):
+        text = self.NAN_STATE.replace("[NaN,0.0]", "[true,false]")
+        assert main(["check", self.state(tmp_path, text), "--what", "positivity"]) == 2
+
+
+class TestDeepSupport:
+    def test_deep_vacuum_checks_quickly(self, tmp_path, capsys):
+        state = vacuum_file(tmp_path, depth=40)
+        assert main(["check", state, "--what", "positivity"]) == 0
+        cert = json.loads(capsys.readouterr().out.split("\n", 1)[1])
+        assert cert["min_eigenvalues"] == [1.0] + [0.0] * 40
+        assert main(["check", state, "--what", "decreasing"]) == 0
+
+
 class TestExtend:
     def run_extend(self, tmp_path, capsys, measure, depth=5):
         rng = np.random.default_rng(SEED + 200)

@@ -261,6 +261,16 @@ class TestPositivity:
         assert mat.is_positive().ok
         assert mat.is_decreasing().ok
 
+    def test_nan_block_fails(self):
+        # The eigensolver returns finite eigenvalues for diag(nan, 1).
+        ctx = FockContext(2, 1)
+        blocks = {(0, 0): np.array([[1.0 + 0j]]),
+                  (1, 1): np.diag([np.nan + 0j, 1.0 + 0j])}
+        result = BlockOperatorMatrix(ctx, blocks).is_positive()
+        assert not result.ok
+        assert result.min_eigenvalues[0] == 1.0
+        assert np.isnan(result.min_eigenvalues[1])
+
 
 class TestClassify:
     def test_essential(self):
@@ -398,6 +408,15 @@ class TestGram:
         assert not result.ok
 
 
+class TestGramNaN:
+    def test_nan_state_fails_gram_check(self):
+        ctx = FockContext(2, 1)
+        mat = BlockOperatorMatrix(ctx, {(0, 0): np.array([[np.nan + 0j]])})
+        result = gram_positivity_check(mat, [[AlgebraElement.one(2)]])
+        assert not result.ok
+        assert np.isnan(result.min_eigenvalues[0])
+
+
 class TestPayload:
     def test_roundtrip_with_metadata(self):
         rng = np.random.default_rng(SEED + 37)
@@ -429,6 +448,47 @@ class TestPayload:
                               {"i": 1, "j": 0, "entries": [[0.0, 0.0], [5.0, 0.0]]}]}
         with pytest.raises(SchemaError):
             StateHandle.from_payload(payload)
+
+    @pytest.mark.parametrize("entry", [
+        [float("nan"), 0.0], [0.0, float("inf")], [-float("inf"), 0.0],
+        [True, 0.0], [1.0, False], [10**400, 0.0], ["1", 0.0], [1.0],
+    ])
+    def test_rejects_bad_entries(self, entry):
+        payload = {"n": 2, "K": 1,
+                   "blocks": [{"i": 0, "j": 0, "entries": [entry]}]}
+        with pytest.raises(SchemaError):
+            StateHandle.from_payload(payload)
+
+    def test_names_the_first_bad_entry(self):
+        payload = {"n": 2, "K": 1,
+                   "blocks": [{"i": 1, "j": 1, "entries": [
+                       [1.0, 0.0], [0.0, 0.0], [0.0, float("nan")], [1.0, 0.0]]}]}
+        with pytest.raises(SchemaError, match=r"entry 2 of block \(1,1\)"):
+            StateHandle.from_payload(payload)
+
+    @pytest.mark.parametrize("key", ["n", "K"])
+    def test_rejects_boolean_sizes(self, key):
+        payload = {"n": 2, "K": 1,
+                   "blocks": [{"i": 0, "j": 0, "entries": [[1.0, 0.0]]}]}
+        payload[key] = True
+        with pytest.raises(SchemaError):
+            StateHandle.from_payload(payload)
+
+    def test_rejects_boolean_block_index(self):
+        payload = {"n": 2, "K": 1,
+                   "blocks": [{"i": False, "j": 0, "entries": [[1.0, 0.0]]}]}
+        with pytest.raises(SchemaError):
+            StateHandle.from_payload(payload)
+
+    def test_decodes_entries_exactly(self):
+        entries = [[-0.0, -0.0], [3, -2], [3, 2], [1e-300, 0.0]]
+        payload = {"n": 2, "K": 1,
+                   "blocks": [{"i": 1, "j": 1, "entries": entries}]}
+        block = StateHandle.from_payload(payload).matrix.blocks[(1, 1)]
+        for z, (re, im) in zip(block.ravel(), entries):
+            assert z == complex(re, im)
+            assert np.copysign(1.0, z.real) == np.copysign(1.0, re)
+            assert np.copysign(1.0, z.imag) == np.copysign(1.0, im)
 
     def test_mirror_blocks_completed(self):
         payload = {"n": 2, "K": 1,
