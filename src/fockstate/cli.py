@@ -9,7 +9,9 @@ Four subcommands cover the whole pipeline:
 
 Exit codes: 0 the requested property holds or the command succeeded,
 1 the property fails, 2 malformed input, 3 the stored truncation depth
-is too small, 4 the truncation window cannot settle the question.
+is too small, 4 the truncation window cannot settle the question,
+5 internal error: an unexpected exception, such as a failed eigensolver
+or exhausted memory, with its traceback and message on stderr.
 All output is deterministic: rerunning a command on the same inputs
 produces byte-identical files and stdout.
 """
@@ -19,6 +21,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
+
+import numpy as np
 
 from .density import (
     EQUALITY_TOL,
@@ -271,9 +276,22 @@ def main(argv=None) -> int:
                 f"observed trace profile: {exc.trace_profile}", file=sys.stderr
             )
         return 4
+    except np.linalg.LinAlgError as exc:
+        # A ValueError subclass, but a failed solver, not malformed input.
+        return _internal_error(exc)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        return _internal_error(exc)
+
+
+def _internal_error(exc: Exception) -> int:
+    """Report an unexpected exception; exit 1 would read as "the property
+    fails", so it gets its own code."""
+    traceback.print_exc(file=sys.stderr)
+    print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+    return 5
 
 
 if __name__ == "__main__":

@@ -23,7 +23,12 @@ the outcome.
 
 Blocks may be stored dense or as :class:`Rank1Block`; the rank-one form
 keeps deep truncations affordable when a state's blocks are outer products,
-as they are for the product-state extensions.  ``+`` and ``-`` keep a block
+as they are for the product-state extensions.  The form survives the slice
+map when both factors are tensor products in their last letter, as the
+elementary tensors of an extension are, so :meth:`BlockOperatorMatrix.sliced`,
+:func:`classify` and :func:`decompose` keep extension states factored; it
+also survives the JSON codec, which writes a rank-one block as its
+coefficient and factors.  ``+`` and ``-`` keep a block
 as it is when only one operand holds it, so a mixture keeps the rank-one
 blocks of its extension part; blocks held by both operands are summed dense.
 The corner positivity checks diagonalize each corner on the span of its
@@ -41,12 +46,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AlphabetMismatchError, HorizonError, SchemaError, UndeterminedError
-from .fock import FockContext, _blocks_from_payload
+from .fock import FockContext, _blocks_from_payload, _pairs
 from .word_algebra import AlgebraElement
 
 EQUALITY_TOL = 1e-10
 PSD_TOL_SCALE = 1e-9
 HERMITIAN_TOL = 1e-12
+# A factor splits as a tensor product when the outer product of the split
+# reproduces it within this many ulps of its largest entry.
+SPLIT_ULPS = 8
 
 __all__ = [
     "EQUALITY_TOL",
@@ -91,11 +99,43 @@ class Rank1Block:
     def trace(self) -> complex:
         return self.coeff * complex(np.vdot(self.right, self.left))
 
-    def ptrace_last(self, n: int) -> np.ndarray:
-        """Partial trace over the last tensor factor, returned dense."""
-        f = self.left.reshape(-1, n)
-        g = self.right.reshape(-1, n)
-        return self.coeff * (f @ g.conj().T)
+    def ptrace_last(self, n: int, splits: dict | None = None):
+        """Partial trace over the last tensor factor.
+
+        When left = a (x) b and right = c (x) d up to a few ulps of their
+        largest entries, the result is the rank-one block
+        coeff * <d, b> * |a><c|; otherwise it is the dense product of the
+        reshaped factors.  ``splits`` memoizes the split of each factor
+        array by identity, so blocks that share a factor still share it
+        after the slice.
+        """
+        if splits is None:
+            splits = {}
+        for vec in (self.left, self.right):
+            if id(vec) not in splits:
+                splits[id(vec)] = _split_last(vec, n)
+        left, right = splits[id(self.left)], splits[id(self.right)]
+        if left is None or right is None:
+            f = self.left.reshape(-1, n)
+            g = self.right.reshape(-1, n)
+            return self.coeff * (f @ g.conj().T)
+        (a, b), (c, d) = left, right
+        return Rank1Block(self.coeff * complex(np.vdot(d, b)), a, c)
+
+
+def _split_last(vec: np.ndarray, n: int):
+    """(a, b) with vec = a (x) b up to SPLIT_ULPS ulps of its largest entry,
+    or None.  b is scaled to 1 at the largest entry's column."""
+    mat = vec.reshape(-1, n)
+    r, c = divmod(int(np.argmax(np.abs(mat))), n)
+    pivot = mat[r, c]
+    if pivot == 0:
+        return None
+    a, b = mat[:, c], mat[r] / pivot
+    gap = np.abs(mat - np.outer(a, b)).max()
+    if not gap <= SPLIT_ULPS * np.finfo(float).eps * abs(pivot):
+        return None
+    return a, b
 
 
 def _dense(block) -> np.ndarray:
@@ -134,9 +174,9 @@ def _min_eigenvalue(hermitian: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(hermitian)[0])
 
 
-def _ptrace_last(block, n: int, rows: int, cols: int) -> np.ndarray:
+def _ptrace_last(block, n: int, rows: int, cols: int, splits: dict):
     if isinstance(block, Rank1Block):
-        return block.ptrace_last(n)
+        return block.ptrace_last(n, splits)
     return np.trace(block.reshape(rows, n, cols, n), axis1=1, axis2=3)
 
 
@@ -306,11 +346,12 @@ class BlockOperatorMatrix:
         """
         ctx = self.ctx
         n = ctx.n
-        blocks = {}
+        blocks, splits = {}, {}
         for (i, j), blk in self.blocks.items():
             if i == 0 or j == 0:
                 continue
-            blocks[(i - 1, j - 1)] = _ptrace_last(blk, n, ctx.dim(i - 1), ctx.dim(j - 1))
+            blocks[(i - 1, j - 1)] = _ptrace_last(
+                blk, n, ctx.dim(i - 1), ctx.dim(j - 1), splits)
         return BlockOperatorMatrix(ctx, blocks, self.horizon - 1)
 
     def restricted(self, level_limit: int) -> "BlockOperatorMatrix":
@@ -350,8 +391,17 @@ class BlockOperatorMatrix:
 
     def is_hermitian(self, tol: float = HERMITIAN_TOL) -> bool:
         for (i, j), blk in self.blocks.items():
-            mirror = self.block(j, i)
-            if np.abs(_dense(blk) - mirror.conj().T).max() > tol:
+            mirror = self.blocks.get((j, i))
+            if (isinstance(blk, Rank1Block) and isinstance(mirror, Rank1Block)
+                    and np.array_equal(blk.left, mirror.right)
+                    and np.array_equal(blk.right, mirror.left)):
+                # Mirrored factors: the gap is (coeff - conj(mirror coeff))
+                # times the outer product, largest at its largest entries.
+                gap = (abs(blk.coeff - np.conj(mirror.coeff))
+                       * np.abs(blk.left).max() * np.abs(blk.right).max())
+            else:
+                gap = np.abs(_dense(blk) - self.block(j, i).conj().T).max()
+            if gap > tol:
                 return False
         return True
 
@@ -465,11 +515,18 @@ class BlockOperatorMatrix:
     # -- serialization -----------------------------------------------------------
 
     def to_payload(self) -> dict:
+        """JSON-ready dict {n, K, blocks}: a dense block as its row-major
+        ``entries``, a :class:`Rank1Block` as its ``coeff`` and its
+        ``left``/``right`` factors, all as [re, im] pairs."""
         blocks = []
         for (i, j) in sorted(self.blocks):
-            arr = _dense(self.blocks[(i, j)])
-            entries = [[float(z.real), float(z.imag)] for z in arr.ravel()]
-            blocks.append({"i": i, "j": j, "entries": entries})
+            blk = self.blocks[(i, j)]
+            if isinstance(blk, Rank1Block):
+                coeff = complex(blk.coeff)
+                blocks.append({"i": i, "j": j, "coeff": [coeff.real, coeff.imag],
+                               "left": _pairs(blk.left), "right": _pairs(blk.right)})
+            else:
+                blocks.append({"i": i, "j": j, "entries": _pairs(blk)})
         return {"n": self.ctx.n, "K": self.ctx.depth, "blocks": blocks}
 
 
@@ -661,7 +718,7 @@ class StateHandle:
             raise SchemaError("state payload must be an object")
         metadata = payload.get("metadata")
         core = {k: v for k, v in payload.items() if k != "metadata"}
-        blocks = _blocks_from_payload(core)
+        blocks = _blocks_from_payload(core, Rank1Block)
         ctx = FockContext(int(core["n"]), int(core["K"]))
         horizon = ctx.depth
         classification = None

@@ -320,11 +320,8 @@ class FockOperator:
     def to_payload(self) -> dict:
         """JSON-ready dict: {n, K, blocks: [{i, j, entries}]} with entries
         as a row-major list of [re, im] pairs."""
-        blocks = []
-        for (i, j) in sorted(self.blocks):
-            arr = self.blocks[(i, j)]
-            entries = [[float(z.real), float(z.imag)] for z in arr.ravel()]
-            blocks.append({"i": i, "j": j, "entries": entries})
+        blocks = [{"i": i, "j": j, "entries": _pairs(self.blocks[(i, j)])}
+                  for (i, j) in sorted(self.blocks)]
         return {"n": self.ctx.n, "K": self.ctx.depth, "blocks": blocks}
 
     @classmethod
@@ -343,31 +340,54 @@ def _is_number_pair(pair) -> bool:
             and all(type(x) in (int, float) for x in pair))
 
 
-def _entries_array(entries: list, i: int, j: int) -> np.ndarray:
+def _pairs(arr: np.ndarray) -> list:
+    """Row-major list of [re, im] pairs of Python floats."""
+    return np.stack([arr.real, arr.imag], -1).reshape(-1, 2).tolist()
+
+
+def _entries_array(entries: list, what: str) -> np.ndarray:
     """Decode a list of [re, im] pairs of finite JSON numbers (not booleans).
 
-    The checks run over the whole list at once; only a rejected block is
-    searched for the first bad entry.
+    The checks run over the whole list at once; only a rejected list is
+    searched for the first bad entry, which the error names within ``what``.
     """
     values = None
     if set(map(type, entries)) <= {list} and set(map(len, entries)) <= {2}:
         values = list(chain.from_iterable(entries))
     if values is None or not set(map(type, values)) <= {int, float}:
         t = next(t for t, pair in enumerate(entries) if not _is_number_pair(pair))
-        raise SchemaError(f"entry {t} of block ({i},{j}) must be [re, im]")
+        raise SchemaError(f"entry {t} of {what} must be [re, im]")
     try:
         pairs = np.array(values, dtype=float)
     except OverflowError:
-        raise SchemaError(f"block ({i},{j}) has an entry beyond the float range") from None
+        raise SchemaError(f"{what} has an entry beyond the float range") from None
     finite = np.isfinite(pairs)
     if not finite.all():
         t = int(np.argmin(finite)) // 2
-        raise SchemaError(f"entry {t} of block ({i},{j}) is not a finite number")
+        raise SchemaError(f"entry {t} of {what} is not a finite number")
     return pairs.view(complex)
 
 
-def _blocks_from_payload(payload: dict) -> dict:
-    """Validate and decode the shared {n, K, blocks} layout."""
+def _sized_entries(data, size: int, what: str) -> np.ndarray:
+    """:func:`_entries_array` of a list that must hold ``size`` pairs."""
+    if not isinstance(data, list) or len(data) != size:
+        raise SchemaError(f"{what} needs {size} entries")
+    return _entries_array(data, what)
+
+
+_DENSE_KEYS = ("i", "j", "entries")
+_FACTORED_KEYS = ("i", "j", "coeff", "left", "right")
+
+
+def _blocks_from_payload(payload: dict, rank_one=None) -> dict:
+    """Validate and decode the shared {n, K, blocks} layout.
+
+    A block record holds its ``entries`` densely, as row-major [re, im]
+    pairs.  When ``rank_one`` is given, a record may instead hold a
+    ``coeff`` pair and ``left``/``right`` factors as lists of pairs; it is
+    decoded to ``rank_one(coeff, left, right)``, and bit-identical factors
+    are decoded to one shared array.  A record never mixes the two kinds.
+    """
     if not isinstance(payload, dict):
         raise SchemaError("operator payload must be an object")
     extra = set(payload) - {"n", "K", "blocks"}
@@ -384,28 +404,36 @@ def _blocks_from_payload(payload: dict) -> dict:
     if not isinstance(payload["blocks"], list):
         raise SchemaError("'blocks' must be a list")
     blocks = {}
+    factors = {}
     for rec in payload["blocks"]:
         if not isinstance(rec, dict):
             raise SchemaError("each block must be an object")
-        extra = set(rec) - {"i", "j", "entries"}
+        factored = rank_one is not None and "coeff" in rec
+        keys = _FACTORED_KEYS if factored else _DENSE_KEYS
+        extra = set(rec) - set(keys)
         if extra:
             raise SchemaError(f"unknown keys in block: {sorted(extra)}")
-        try:
-            i, j, entries = rec["i"], rec["j"], rec["entries"]
-        except KeyError as exc:
-            raise SchemaError(f"block missing key {exc.args[0]!r}") from None
+        for key in keys:
+            if key not in rec:
+                raise SchemaError(f"block missing key {key!r}")
+        i, j = rec["i"], rec["j"]
         if not _is_int(i) or not _is_int(j):
             raise SchemaError("block indices must be integers")
         if not 0 <= i <= depth or not 0 <= j <= depth:
             raise SchemaError(f"block ({i},{j}) outside levels 0..{depth}")
-        rows, cols = n**i, n**j
-        if not isinstance(entries, list) or len(entries) != rows * cols:
-            raise SchemaError(
-                f"block ({i},{j}) needs {rows * cols} entries"
-            )
         if (i, j) in blocks:
             raise SchemaError(f"duplicate block ({i},{j})")
-        blocks[(i, j)] = _entries_array(entries, i, j).reshape(rows, cols)
+        rows, cols = n**i, n**j
+        if not factored:
+            entries = _sized_entries(rec["entries"], rows * cols, f"block ({i},{j})")
+            blocks[(i, j)] = entries.reshape(rows, cols)
+            continue
+        coeff = _sized_entries([rec["coeff"]], 1, f"the coefficient of block ({i},{j})")
+        left = _sized_entries(rec["left"], rows, f"the left factor of block ({i},{j})")
+        right = _sized_entries(rec["right"], cols, f"the right factor of block ({i},{j})")
+        left = factors.setdefault(left.tobytes(), left)
+        right = factors.setdefault(right.tobytes(), right)
+        blocks[(i, j)] = rank_one(complex(coeff[0]), left, right)
     return blocks
 
 

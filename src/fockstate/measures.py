@@ -10,6 +10,7 @@ atomic measure can be inverted back into its atoms.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -63,13 +64,15 @@ class CircleMeasure:
         cleaned = []
         for angle, weight in self.atoms:
             weight = float(weight)
-            if weight <= 0:
+            if not weight > 0:
                 raise ValueError(f"atom weight {weight} must be positive")
+            if not math.isfinite(angle):
+                raise ValueError(f"atom angle {angle} must be finite")
             cleaned.append((_canonical_angle(angle), weight))
         cleaned.sort()
         object.__setattr__(self, "atoms", tuple(cleaned))
         total = self.haar_weight + sum(w for _, w in self.atoms)
-        if abs(total - 1.0) > MEASURE_SUM_TOL:
+        if not abs(total - 1.0) <= MEASURE_SUM_TOL:
             raise ValueError(f"total mass {total} is not 1")
 
     # -- constructors ---------------------------------------------------
@@ -132,8 +135,7 @@ class CircleMeasure:
         for key in ("haar_weight", "atoms"):
             if key not in payload:
                 raise SchemaError(f"measure payload missing key {key!r}")
-        if not isinstance(payload["haar_weight"], (int, float)):
-            raise SchemaError("'haar_weight' must be a number")
+        haar_weight = _finite_number(payload["haar_weight"], "'haar_weight'")
         if not isinstance(payload["atoms"], list):
             raise SchemaError("'atoms' must be a list")
         atoms = []
@@ -145,13 +147,25 @@ class CircleMeasure:
                 raise SchemaError(f"unknown keys in atom: {sorted(extra)}")
             if "angle" not in rec or "weight" not in rec:
                 raise SchemaError("atom needs 'angle' and 'weight'")
-            if not all(isinstance(rec[k], (int, float)) for k in ("angle", "weight")):
-                raise SchemaError("atom fields must be numbers")
-            atoms.append((float(rec["angle"]), float(rec["weight"])))
+            atoms.append((_finite_number(rec["angle"], "atom angle"),
+                          _finite_number(rec["weight"], "atom weight")))
         try:
-            return cls(haar_weight=float(payload["haar_weight"]), atoms=tuple(atoms))
+            return cls(haar_weight=haar_weight, atoms=tuple(atoms))
         except ValueError as exc:
             raise SchemaError(str(exc)) from None
+
+
+def _finite_number(value, what: str) -> float:
+    """A finite JSON number (not a boolean) as a float."""
+    if type(value) not in (int, float):
+        raise SchemaError(f"{what} must be a number")
+    try:
+        value = float(value)
+    except OverflowError:
+        raise SchemaError(f"{what} is beyond the float range") from None
+    if not math.isfinite(value):
+        raise SchemaError(f"{what} must be a finite number")
+    return value
 
 
 def fourier(measure: CircleMeasure, m: int) -> complex:

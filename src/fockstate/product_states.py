@@ -17,7 +17,7 @@ import numpy as np
 
 from .density import BlockOperatorMatrix, Rank1Block, StateHandle, _scaled
 from .errors import AperiodicSequenceError, HorizonError, SchemaError
-from .fock import FockContext
+from .fock import FockContext, _pairs, _sized_entries
 from .measures import CircleMeasure, MomentSequence, fourier
 
 __all__ = [
@@ -43,29 +43,6 @@ PERIOD_TOL = 1e-12
 REPHASE_TOL = 1e-12
 
 
-def _vector_to_pairs(v: np.ndarray) -> list:
-    return [[float(z.real), float(z.imag)] for z in v]
-
-
-def _vector_from_pairs(data, n: int, what: str) -> np.ndarray:
-    if not isinstance(data, list) or len(data) != n:
-        raise SchemaError(f"{what} must be a list of {n} [re, im] pairs")
-    out = np.empty(n, dtype=complex)
-    for idx, pair in enumerate(data):
-        ok = (
-            isinstance(pair, list)
-            and len(pair) == 2
-            and all(
-                isinstance(x, (int, float)) and not isinstance(x, bool)
-                for x in pair
-            )
-        )
-        if not ok:
-            raise SchemaError(f"{what} entries must be [re, im] number pairs")
-        out[idx] = complex(pair[0], pair[1])
-    return out
-
-
 class UnitVectorSequence:
     """Eventually periodic sequence of unit vectors in C^n, 1-indexed.
 
@@ -88,7 +65,7 @@ class UnitVectorSequence:
         for v in pref + cyc:
             if v.shape != (self.n,):
                 raise ValueError(f"sequence vectors must have shape ({self.n},)")
-            if abs(np.linalg.norm(v) - 1.0) > UNIT_NORM_TOL:
+            if not abs(np.linalg.norm(v) - 1.0) <= UNIT_NORM_TOL:
                 raise ValueError("sequence vectors must have unit norm")
         self.prefix = pref
         self.cycle = cyc
@@ -125,8 +102,8 @@ class UnitVectorSequence:
     def to_payload(self) -> dict:
         return {
             "n": self.n,
-            "prefix": [_vector_to_pairs(v) for v in self.prefix],
-            "cycle": [_vector_to_pairs(v) for v in self.cycle],
+            "prefix": [_pairs(v) for v in self.prefix],
+            "cycle": [_pairs(v) for v in self.cycle],
         }
 
     @classmethod
@@ -146,12 +123,8 @@ class UnitVectorSequence:
         for key in ("prefix", "cycle"):
             if not isinstance(payload[key], list):
                 raise SchemaError(f"'{key}' must be a list of vectors")
-        prefix = [
-            _vector_from_pairs(v, n, "prefix vector") for v in payload["prefix"]
-        ]
-        cycle = [
-            _vector_from_pairs(v, n, "cycle vector") for v in payload["cycle"]
-        ]
+        prefix = [_sized_entries(v, n, "prefix vector") for v in payload["prefix"]]
+        cycle = [_sized_entries(v, n, "cycle vector") for v in payload["cycle"]]
         try:
             return cls(n, prefix, cycle)
         except ValueError as exc:

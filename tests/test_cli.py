@@ -15,11 +15,13 @@ import pytest
 from conftest import SEED
 from helpers import random_sequence
 
+from fockstate import cli
 from fockstate.cli import main
-from fockstate.density import BlockOperatorMatrix, StateHandle
+from fockstate.density import BlockOperatorMatrix, StateHandle, state_eval
 from fockstate.fock import FockContext
 from fockstate.measures import CircleMeasure
 from fockstate.product_states import UnitVectorSequence, extend, rephase
+from fockstate.word_algebra import parse_expression
 
 N = 2
 
@@ -259,6 +261,29 @@ class TestExtend:
         assert code == 0
         assert main(["check", str(out_path), "--what", "essential"]) == 0
 
+    UNIT_SEQUENCE = '{"n":2,"prefix":[],"cycle":[[[1.0,0.0],[0.0,0.0]]]}'
+    HAAR = '{"haar_weight":1.0,"atoms":[]}'
+
+    @pytest.mark.parametrize("sequence, measure", [
+        ('{"n":2,"prefix":[],"cycle":[[[NaN,0.0],[0.0,0.0]]]}', HAAR),
+        ('{"n":2,"prefix":[],"cycle":[[[true,0.0],[0.0,0.0]]]}', HAAR),
+        (UNIT_SEQUENCE, '{"haar_weight":0.0,"atoms":[{"angle":NaN,"weight":1.0}]}'),
+        (UNIT_SEQUENCE, '{"haar_weight":0.0,"atoms":[{"angle":0.5,"weight":NaN}]}'),
+        (UNIT_SEQUENCE, '{"haar_weight":0.0,"atoms":[{"angle":true,"weight":1.0}]}'),
+        (UNIT_SEQUENCE, '{"haar_weight":Infinity,"atoms":[]}'),
+        (UNIT_SEQUENCE, '{"haar_weight":true,"atoms":[]}'),
+    ])
+    def test_non_finite_or_boolean_input_is_input_error(
+            self, tmp_path, capsys, sequence, measure):
+        (tmp_path / "s.json").write_text(sequence)
+        (tmp_path / "m.json").write_text(measure)
+        out = tmp_path / "o.json"
+        code = main(["extend", str(tmp_path / "s.json"), str(tmp_path / "m.json"),
+                     "--depth", "2", "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().out == ""
+        assert not out.exists()
+
     def test_malformed_sequence_is_input_error(self, tmp_path):
         seq_path = write_json(tmp_path / "s.json", {"n": 2, "cycle": []})
         m_path = measure_file(tmp_path, CircleMeasure.haar())
@@ -267,6 +292,74 @@ class TestExtend:
             ["extend", seq_path, m_path, "--depth", "3", "--out", out]
         )
         assert code == 2
+
+
+class TestFactoredFiles:
+    """Extension states are written with factored blocks."""
+
+    def extension_file(self, tmp_path, capsys, depth):
+        rng = np.random.default_rng(SEED + 203)
+        seq_path, _ = sequence_file(tmp_path, rng)
+        m_path = measure_file(
+            tmp_path, CircleMeasure.from_atoms([(0.3, 0.3), (2.2, 0.2)], haar_weight=0.5))
+        out = tmp_path / "state.json"
+        assert main(["extend", seq_path, m_path, "--depth", str(depth),
+                     "--out", str(out)]) == 0
+        capsys.readouterr()
+        return out
+
+    def test_deep_files_stay_small(self, tmp_path, capsys):
+        # Densified, each file would hold 12.6 MB at n=2, K=8.
+        state = self.extension_file(tmp_path, capsys, depth=8)
+        assert state.stat().st_size < 1_000_000
+        prefix = str(tmp_path / "parts")
+        assert main(["decompose", str(state), "--out-prefix", prefix]) == 0
+        assert (tmp_path / "parts.essential.json").stat().st_size < 1_000_000
+
+    def test_checks_agree_with_a_dense_copy(self, tmp_path, capsys):
+        state = self.extension_file(tmp_path, capsys, depth=5)
+        handle = StateHandle.from_payload(json.loads(state.read_text()))
+        matrix = handle.matrix
+        dense = BlockOperatorMatrix(
+            matrix.ctx, {key: matrix.block(*key) for key in matrix.blocks}, matrix.horizon)
+        dense_path = write_json(tmp_path / "dense.json",
+                                StateHandle(dense, "essential").to_payload())
+        assert "entries" in json.loads(open(dense_path).read())["blocks"][0]
+        for what in ("positivity", "decreasing", "essential", "singular"):
+            reports = []
+            for path in (str(state), dense_path):
+                code = main(["check", path, "--what", what])
+                first, cert = capsys.readouterr().out.split("\n", 1)
+                reports.append((code, first, json.loads(cert)))
+            (code, first, cert), (dense_code, dense_first, dense_cert) = reports
+            assert (code, first, cert["ok"]) == (dense_code, dense_first, dense_cert["ok"])
+            for got, want, tol in zip(cert.get("min_eigenvalues", ()),
+                                      dense_cert.get("min_eigenvalues", ()),
+                                      cert.get("tolerances", ())):
+                assert abs(got - want) <= tol
+
+    def test_eval_matches_in_process_value(self, tmp_path, capsys):
+        state = self.extension_file(tmp_path, capsys, depth=4)
+        matrix = StateHandle.from_payload(json.loads(state.read_text())).matrix
+        text = "(0.5-2i) v1 v2 v[1,1]* + v2* - 0.25 v[2,1,2] v[1,2,2]*"
+        value = state_eval(matrix, parse_expression(text, N))
+        assert main(["eval", str(state), text]) == 0
+        assert capsys.readouterr().out == (
+            f"{value.real + 0.0:.15g} {value.imag + 0.0:.15g}\n")
+
+
+class TestInternalError:
+    @pytest.mark.parametrize("error", [np.linalg.LinAlgError("no convergence"),
+                                       MemoryError("out of memory")])
+    def test_unexpected_exception_is_exit_five(self, tmp_path, capsys, monkeypatch, error):
+        def fail(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(cli, "state_eval", fail)
+        assert main(["eval", vacuum_file(tmp_path), "1"]) == 5
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"internal error: {type(error).__name__}: {error}" in captured.err
 
 
 class TestDecompose:

@@ -14,7 +14,6 @@ from fockstate.density import (
     PSD_TOL_SCALE,
     BlockOperatorMatrix,
     Rank1Block,
-    StateHandle,
     fock_vector_state,
 )
 from fockstate.fock import FockContext
@@ -104,8 +103,8 @@ class TestMatchesDenseCorners:
 
     def test_dense_state_gives_the_dense_corners_exactly(self):
         rng = np.random.default_rng(SEED + 403)
-        handle = StateHandle(extension_state(rng, depth=5), "essential")
-        mat = StateHandle.from_payload(handle.to_payload()).matrix
+        mat = densified(extension_state(rng, depth=5))
+        assert not any(isinstance(b, Rank1Block) for b in mat.blocks.values())
         result = mat.is_positive()
         ok, mins, _ = dense_check(mat, mat.horizon)
         assert result.ok == ok

@@ -1,5 +1,7 @@
 """Density matrices: entry conventions, slicing, positivity, decomposition."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -20,14 +22,17 @@ from fockstate.errors import HorizonError, SchemaError, UndeterminedError
 from fockstate.fock import (
     FockContext,
     FockOperator,
+    _pairs,
     apply_operator,
     inner_product,
     represent,
     right_create,
     zero_vector,
 )
+from fockstate.measures import CircleMeasure
+from fockstate.product_states import extend, rephase
 from fockstate.word_algebra import AlgebraElement, parse_expression
-from helpers import random_element
+from helpers import random_element, random_sequence, random_unit_vector
 
 
 def random_fock_vector(rng, ctx, top):
@@ -41,6 +46,12 @@ def haar_like_state(ctx):
     blocks = {(k, k): ctx.n ** (-k) * np.eye(ctx.dim(k), dtype=complex)
               for k in range(ctx.depth + 1)}
     return BlockOperatorMatrix(ctx, blocks)
+
+
+def extension_matrix(rng, depth=5):
+    seq = rephase(random_sequence(rng, 2, 1, 2))
+    measure = CircleMeasure.from_atoms([(0.7, 0.5)], haar_weight=0.5)
+    return extend(seq, measure, depth).matrix
 
 
 def vector_state_value(ctx, phi_levels, element):
@@ -73,6 +84,49 @@ class TestRank1Block:
         dense = blk.dense().reshape(4, 2, 2, 2)
         expected = np.trace(dense, axis1=1, axis2=3)
         assert np.abs(blk.ptrace_last(2) - expected).max() <= 1e-13
+
+    @pytest.mark.parametrize("left_product, right_product",
+                             [(True, True), (True, False), (False, True)])
+    def test_ptrace_of_tensor_products(self, left_product, right_product):
+        # Only a block whose factors are both tensor products stays rank one.
+        rng = np.random.default_rng(SEED + 24)
+
+        def factor(size, product):
+            if product:
+                return np.kron(random_unit_vector(rng, size // 2),
+                               random_unit_vector(rng, 2))
+            return rng.standard_normal(size) + 1j * rng.standard_normal(size)
+
+        blk = Rank1Block(0.7 + 0.2j, factor(8, left_product), factor(4, right_product))
+        dense = blk.dense().reshape(4, 2, 2, 2)
+        expected = np.trace(dense, axis1=1, axis2=3)
+        traced = blk.ptrace_last(2)
+        if left_product and right_product:
+            assert isinstance(traced, Rank1Block)
+            traced = traced.dense()
+        else:
+            assert isinstance(traced, np.ndarray)
+        assert np.abs(traced - expected).max() <= 1e-13
+
+    def test_sliced_extension_stays_rank_one(self):
+        rng = np.random.default_rng(SEED + 22)
+        mat = extension_matrix(rng, depth=6)
+        dense = BlockOperatorMatrix(
+            mat.ctx, {key: mat.block(*key) for key in mat.blocks}, mat.horizon)
+        for _ in range(3):
+            mat, dense = mat.sliced(), dense.sliced()
+            assert set(mat.blocks) == set(dense.blocks)
+            assert all(isinstance(b, Rank1Block) for b in mat.blocks.values())
+            assert mat.max_abs_diff(dense) <= 1e-14 * dense.max_abs()
+
+    def test_decompose_keeps_extension_factored(self):
+        rng = np.random.default_rng(SEED + 23)
+        mat = extension_matrix(rng)
+        assert classify(mat).label == "essential"
+        essential = decompose(mat).essential
+        assert set(essential.blocks) == set(mat.blocks)
+        assert all(isinstance(b, Rank1Block) for b in essential.blocks.values())
+        assert essential.max_abs_diff(mat) <= 1e-12
 
     def test_conj_transpose(self):
         blk = Rank1Block(2j, np.array([1.0, 0.0]), np.array([0.0, 1.0]))
@@ -449,6 +503,22 @@ class TestPayload:
         with pytest.raises(SchemaError):
             StateHandle.from_payload(payload)
 
+    @pytest.mark.parametrize("blocks", [
+        # Mirrored factors whose coefficients are not conjugate.
+        [{"i": 0, "j": 1, "coeff": [1.0, 1.0], "left": [[1.0, 0.0]],
+          "right": [[0.6, 0.0], [0.0, 0.8]]},
+         {"i": 1, "j": 0, "coeff": [1.0, 1.0], "left": [[0.6, 0.0], [0.0, 0.8]],
+          "right": [[1.0, 0.0]]}],
+        # A factored block whose mirror is dense and different.
+        [{"i": 0, "j": 1, "coeff": [1.0, 0.0], "left": [[1.0, 0.0]],
+          "right": [[0.6, 0.0], [0.0, 0.8]]},
+         {"i": 1, "j": 0, "entries": [[0.8, 0.0], [0.6, 0.0]]}],
+    ])
+    def test_rejects_non_hermitian_factored_blocks(self, blocks):
+        payload = {"n": 2, "K": 1, "blocks": blocks}
+        with pytest.raises(SchemaError):
+            StateHandle.from_payload(payload)
+
     @pytest.mark.parametrize("entry", [
         [float("nan"), 0.0], [0.0, float("inf")], [-float("inf"), 0.0],
         [True, 0.0], [1.0, False], [10**400, 0.0], ["1", 0.0], [1.0],
@@ -489,6 +559,73 @@ class TestPayload:
             assert z == complex(re, im)
             assert np.copysign(1.0, z.real) == np.copysign(1.0, re)
             assert np.copysign(1.0, z.imag) == np.copysign(1.0, im)
+
+    def test_factored_roundtrip_is_bit_identical(self):
+        rng = np.random.default_rng(SEED + 38)
+        handle = StateHandle(extension_matrix(rng), "essential")
+        text = json.dumps(handle.to_payload(), indent=2, sort_keys=True)
+        back = StateHandle.from_payload(json.loads(text)).matrix
+        assert set(back.blocks) == set(handle.matrix.blocks)
+        for key, blk in handle.matrix.blocks.items():
+            got = back.blocks[key]
+            assert isinstance(got, Rank1Block)
+            assert got.coeff == blk.coeff
+            assert np.array_equal(got.left, blk.left)
+            assert np.array_equal(got.right, blk.right)
+        # Equal factors decode to one array, as extend shares them.
+        lefts = {id(back.blocks[(i, j)].left) for (i, j) in back.blocks if i == 3}
+        assert len(lefts) == 1
+        assert json.dumps(StateHandle(back, "essential").to_payload(),
+                          indent=2, sort_keys=True) == text
+
+    FACTORED = {"i": 1, "j": 1, "coeff": [0.5, 0.0],
+                "left": [[1.0, 0.0], [0.0, 0.0]], "right": [[1.0, 0.0], [0.0, 0.0]]}
+
+    @pytest.mark.parametrize("change", [
+        {"left": [[1.0, 0.0]]},
+        {"right": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]},
+        {"left": [[float("nan"), 0.0], [0.0, 0.0]]},
+        {"right": [[1.0, 0.0], [0.0, float("inf")]]},
+        {"coeff": [float("nan"), 0.0]},
+        {"coeff": [True, 0.0]},
+        {"coeff": 0.5},
+        {"coeff": [10**400, 0.0]},
+        {"left": [[1.0, False], [0.0, 0.0]]},
+        {"extra": 1},
+        {"entries": [[1.0, 0.0]] * 4},
+        {"right": None},
+    ])
+    def test_rejects_malformed_factored_blocks(self, change):
+        rec = {**self.FACTORED, **change}
+        if rec["right"] is None:
+            del rec["right"]
+        payload = {"n": 2, "K": 1, "blocks": [rec]}
+        with pytest.raises(SchemaError):
+            StateHandle.from_payload(payload)
+
+    def test_rejects_duplicate_factored_block(self):
+        dense = {"i": 1, "j": 1, "entries": [[1.0, 0.0]] * 4}
+        payload = {"n": 2, "K": 1, "blocks": [self.FACTORED, dense]}
+        with pytest.raises(SchemaError, match="duplicate"):
+            StateHandle.from_payload(payload)
+
+    def test_operator_payload_stays_dense(self):
+        payload = {"n": 2, "K": 1, "blocks": [self.FACTORED]}
+        assert StateHandle.from_payload(payload).matrix.entry(1, 1, 0, 0) == 0.5
+        with pytest.raises(SchemaError, match="unknown keys"):
+            FockOperator.from_payload(payload)
+
+    def test_vectorized_encoding_matches_per_entry_encoding(self):
+        rng = np.random.default_rng(SEED + 39)
+        values = [-0.0, 0.0, 5e-324, -5e-324, 1e300, -1e300, 1e-300, -1e-300,
+                  0.1, 1 / 3, 2.0**52 + 1]
+        arr = (rng.choice(values, (3, 5)) + 1j * rng.choice(values, (3, 5))).T
+
+        def per_entry(a):
+            return [[float(z.real), float(z.imag)] for z in a.ravel()]
+
+        for a in (arr, arr[1], np.ascontiguousarray(arr)):
+            assert json.dumps(_pairs(a), indent=2) == json.dumps(per_entry(a), indent=2)
 
     def test_mirror_blocks_completed(self):
         payload = {"n": 2, "K": 1,
