@@ -21,6 +21,13 @@ part supported on finitely many levels (slice-nilpotent, the singular
 part); :func:`decompose` performs that split and :func:`classify` names
 the outcome.
 
+:class:`BlockOperatorMatrix` is the state side of the block core in
+:mod:`fockstate.fock`, which it shares with the Fock operators: block
+validation, dense views, comparison, sums, scaling and the JSON layout live
+there, as do :class:`Rank1Block` and its per-block helpers
+(``fockstate.density.Rank1Block`` is the same class).  This module adds the
+horizon of meaningful levels and the state algebra.
+
 Blocks may be stored dense or as :class:`Rank1Block`; the rank-one form
 keeps deep truncations affordable when a state's blocks are outer products,
 as they are for the product-state extensions.  The form survives the slice
@@ -46,15 +53,24 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AlphabetMismatchError, HorizonError, SchemaError, UndeterminedError
-from .fock import FockContext, _blocks_from_payload, _pairs
+from .fock import (
+    BlockMatrix,
+    FockContext,
+    Rank1Block,
+    _block_trace,
+    _blocks_from_payload,
+    _conj_transpose,
+    _dense,
+    _entry,
+    _fields,
+    _integer,
+    _ptrace_last,
+)
 from .word_algebra import AlgebraElement
 
 EQUALITY_TOL = 1e-10
 PSD_TOL_SCALE = 1e-9
 HERMITIAN_TOL = 1e-12
-# A factor splits as a tensor product when the outer product of the split
-# reproduces it within this many ulps of its largest entry.
-SPLIT_ULPS = 8
 
 __all__ = [
     "EQUALITY_TOL",
@@ -76,108 +92,12 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Rank1Block:
-    """Block stored as coeff * |left><right| without materializing it."""
-
-    coeff: complex
-    left: np.ndarray
-    right: np.ndarray
-
-    def dense(self) -> np.ndarray:
-        return self.coeff * np.outer(self.left, self.right.conj())
-
-    def entry(self, a: int, b: int) -> complex:
-        return self.coeff * self.left[a] * np.conj(self.right[b])
-
-    def scaled(self, c: complex) -> "Rank1Block":
-        return Rank1Block(self.coeff * c, self.left, self.right)
-
-    def conj_transpose(self) -> "Rank1Block":
-        return Rank1Block(np.conj(self.coeff), self.right, self.left)
-
-    def trace(self) -> complex:
-        return self.coeff * complex(np.vdot(self.right, self.left))
-
-    def ptrace_last(self, n: int, splits: dict | None = None):
-        """Partial trace over the last tensor factor.
-
-        When left = a (x) b and right = c (x) d up to a few ulps of their
-        largest entries, the result is the rank-one block
-        coeff * <d, b> * |a><c|; otherwise it is the dense product of the
-        reshaped factors.  ``splits`` memoizes the split of each factor
-        array by identity, so blocks that share a factor still share it
-        after the slice.
-        """
-        if splits is None:
-            splits = {}
-        for vec in (self.left, self.right):
-            if id(vec) not in splits:
-                splits[id(vec)] = _split_last(vec, n)
-        left, right = splits[id(self.left)], splits[id(self.right)]
-        if left is None or right is None:
-            f = self.left.reshape(-1, n)
-            g = self.right.reshape(-1, n)
-            return self.coeff * (f @ g.conj().T)
-        (a, b), (c, d) = left, right
-        return Rank1Block(self.coeff * complex(np.vdot(d, b)), a, c)
-
-
-def _split_last(vec: np.ndarray, n: int):
-    """(a, b) with vec = a (x) b up to SPLIT_ULPS ulps of its largest entry,
-    or None.  b is scaled to 1 at the largest entry's column."""
-    mat = vec.reshape(-1, n)
-    r, c = divmod(int(np.argmax(np.abs(mat))), n)
-    pivot = mat[r, c]
-    if pivot == 0:
-        return None
-    a, b = mat[:, c], mat[r] / pivot
-    gap = np.abs(mat - np.outer(a, b)).max()
-    if not gap <= SPLIT_ULPS * np.finfo(float).eps * abs(pivot):
-        return None
-    return a, b
-
-
-def _dense(block) -> np.ndarray:
-    return block.dense() if isinstance(block, Rank1Block) else block
-
-
-def _entry(block, a: int, b: int) -> complex:
-    if isinstance(block, Rank1Block):
-        return complex(block.entry(a, b))
-    return complex(block[a, b])
-
-
-def _scaled(block, c: complex):
-    if isinstance(block, Rank1Block):
-        return block.scaled(c)
-    return c * block
-
-
-def _conj_transpose(block):
-    if isinstance(block, Rank1Block):
-        return block.conj_transpose()
-    return block.conj().T
-
-
-def _block_trace(block) -> complex:
-    if isinstance(block, Rank1Block):
-        return complex(block.trace())
-    return complex(np.trace(block))
-
-
 def _min_eigenvalue(hermitian: np.ndarray) -> float:
     """Smallest eigenvalue, or NaN when an entry is not finite (the
     eigensolver may drop a NaN and return finite eigenvalues)."""
     if not np.isfinite(hermitian).all():
         return float("nan")
     return float(np.linalg.eigvalsh(hermitian)[0])
-
-
-def _ptrace_last(block, n: int, rows: int, cols: int, splits: dict):
-    if isinstance(block, Rank1Block):
-        return block.ptrace_last(n, splits)
-    return np.trace(block.reshape(rows, n, cols, n), axis1=1, axis2=3)
 
 
 @dataclass(frozen=True)
@@ -187,6 +107,18 @@ class CheckResult:
     ok: bool
     min_eigenvalues: tuple[float, ...]
     tolerances: tuple[float, ...]
+
+
+def _psd_verdict(checked, tol_scale: float) -> CheckResult:
+    """Verdict on (smallest eigenvalue, Hermitian matrix) pairs: each
+    smallest eigenvalue may reach down to -tol_scale * max(1, |trace|), and
+    NaN fails."""
+    mins, tols = [], []
+    for lowest, mat in checked:
+        mins.append(lowest)
+        tols.append(tol_scale * max(1.0, abs(float(np.trace(mat).real))))
+    ok = all(low >= -tol for low, tol in zip(mins, tols))
+    return CheckResult(ok, tuple(mins), tuple(tols))
 
 
 @dataclass(frozen=True)
@@ -202,7 +134,7 @@ class DecomposeResult:
     stabilization_step: int
 
 
-class BlockOperatorMatrix:
+class BlockOperatorMatrix(BlockMatrix):
     """Hermitian block matrix of state values on the truncated levels.
 
     ``blocks`` maps (row level, column level) to a dense array or a
@@ -210,29 +142,10 @@ class BlockOperatorMatrix:
     highest level whose blocks are meaningful (slicing lowers it).
     """
 
-    __slots__ = ("ctx", "blocks", "horizon")
+    __slots__ = ("horizon",)
 
     def __init__(self, ctx: FockContext, blocks: dict, horizon: int | None = None):
-        self.ctx = ctx
-        self.blocks = {}
-        for (i, j), block in blocks.items():
-            if not (0 <= i <= ctx.depth and 0 <= j <= ctx.depth):
-                raise ValueError(f"block ({i},{j}) outside levels 0..{ctx.depth}")
-            shape = (ctx.dim(i), ctx.dim(j))
-            if isinstance(block, Rank1Block):
-                if block.left.shape != (shape[0],) or block.right.shape != (shape[1],):
-                    raise ValueError(f"rank-one block ({i},{j}) has wrong factor sizes")
-                if block.coeff == 0:
-                    continue
-                self.blocks[(i, j)] = block
-            else:
-                arr = np.asarray(block, dtype=complex)
-                if arr.shape != shape:
-                    raise ValueError(
-                        f"block ({i},{j}) has shape {arr.shape}, expected {shape}"
-                    )
-                if np.any(arr):
-                    self.blocks[(i, j)] = arr
+        super().__init__(ctx, blocks)
         self.horizon = ctx.depth if horizon is None else max(-1, min(horizon, ctx.depth))
 
     # -- constructors ---------------------------------------------------
@@ -276,12 +189,6 @@ class BlockOperatorMatrix:
 
     # -- element access ---------------------------------------------------
 
-    def block(self, i: int, j: int) -> np.ndarray:
-        blk = self.blocks.get((i, j))
-        if blk is None:
-            return np.zeros((self.ctx.dim(i), self.ctx.dim(j)), dtype=complex)
-        return _dense(blk)
-
     def entry(self, i: int, j: int, a: int, b: int) -> complex:
         blk = self.blocks.get((i, j))
         return 0j if blk is None else _entry(blk, a, b)
@@ -324,18 +231,6 @@ class BlockOperatorMatrix:
             limit = self.horizon
         return tuple(self.level_trace(k) for k in range(limit + 1))
 
-    def corner(self, k: int) -> np.ndarray:
-        """Dense matrix over levels 0..k."""
-        if k > self.ctx.depth:
-            raise ValueError(f"corner {k} outside depth {self.ctx.depth}")
-        off = self.ctx.level_offsets
-        size = off[k + 1]
-        out = np.zeros((size, size), dtype=complex)
-        for (i, j), blk in self.blocks.items():
-            if i <= k and j <= k:
-                out[off[i]:off[i + 1], off[j]:off[j + 1]] = _dense(blk)
-        return out
-
     # -- slicing -----------------------------------------------------------
 
     def sliced(self) -> "BlockOperatorMatrix":
@@ -362,14 +257,6 @@ class BlockOperatorMatrix:
 
     # -- comparison ---------------------------------------------------------
 
-    def max_abs(self, level_limit: int | None = None) -> float:
-        worst = 0.0
-        for (i, j), blk in self.blocks.items():
-            if level_limit is not None and max(i, j) > level_limit:
-                continue
-            worst = max(worst, float(np.abs(_dense(blk)).max()))
-        return worst
-
     def max_abs_diff(self, other: "BlockOperatorMatrix",
                      level_limit: int | None = None) -> float:
         """Largest entry difference over blocks with both levels <= limit.
@@ -377,17 +264,9 @@ class BlockOperatorMatrix:
         The limit defaults to the smaller horizon, which is the region
         where both matrices are meaningful.
         """
-        if not self.ctx.compatible(other.ctx):
-            raise AlphabetMismatchError("matrices live on different spaces")
         if level_limit is None:
             level_limit = min(self.horizon, other.horizon)
-        worst = 0.0
-        for key in set(self.blocks) | set(other.blocks):
-            if max(key) > level_limit:
-                continue
-            d = np.abs(self.block(*key) - other.block(*key)).max()
-            worst = max(worst, float(d))
-        return worst
+        return self._max_diff(other, lambda i, j: max(i, j) <= level_limit)
 
     def is_hermitian(self, tol: float = HERMITIAN_TOL) -> bool:
         for (i, j), blk in self.blocks.items():
@@ -408,24 +287,11 @@ class BlockOperatorMatrix:
     # -- arithmetic ----------------------------------------------------------
 
     def __add__(self, other: "BlockOperatorMatrix") -> "BlockOperatorMatrix":
-        if not self.ctx.compatible(other.ctx):
-            raise AlphabetMismatchError("matrices live on different spaces")
-        acc = dict(self.blocks)
-        for key, blk in other.blocks.items():
-            mine = acc.get(key)
-            acc[key] = blk if mine is None else _dense(mine) + _dense(blk)
-        return BlockOperatorMatrix(self.ctx, acc, min(self.horizon, other.horizon))
-
-    def __sub__(self, other: "BlockOperatorMatrix") -> "BlockOperatorMatrix":
-        return self + (-1.0) * other
+        return BlockOperatorMatrix(self.ctx, self._sum_blocks(other),
+                                   min(self.horizon, other.horizon))
 
     def __rmul__(self, scalar) -> "BlockOperatorMatrix":
-        scalar = complex(scalar)
-        return BlockOperatorMatrix(
-            self.ctx,
-            {key: _scaled(blk, scalar) for key, blk in self.blocks.items()},
-            self.horizon,
-        )
+        return BlockOperatorMatrix(self.ctx, self._scaled_blocks(scalar), self.horizon)
 
     # -- positivity ------------------------------------------------------------
 
@@ -487,47 +353,23 @@ class BlockOperatorMatrix:
             level_limit = self.horizon
         if level_limit > self.ctx.depth:
             raise ValueError(f"corner {level_limit} outside depth {self.ctx.depth}")
-        if level_limit < 0:
-            return CheckResult(True, (), ())
         compressed, offsets = self._compressed(level_limit)
         compressed = 0.5 * (compressed + compressed.conj().T)
-        mins, tols = [], []
-        ok = True
+        checked = []
         for k in range(level_limit + 1):
             rank = offsets[k + 1]
             corner = compressed[:rank, :rank]
             lowest = _min_eigenvalue(corner) if rank else 0.0
             if rank < self.ctx.level_offsets[k + 1] and lowest > 0:
                 lowest = 0.0
-            tol = tol_scale * max(1.0, abs(float(np.trace(corner).real)))
-            mins.append(lowest)
-            tols.append(tol)
-            if not lowest >= -tol:
-                ok = False
-        return CheckResult(ok, tuple(mins), tuple(tols))
+            checked.append((lowest, corner))
+        return _psd_verdict(checked, tol_scale)
 
     def is_decreasing(self, tol_scale: float = PSD_TOL_SCALE) -> CheckResult:
         """Check that the slice is dominated by the matrix itself: all
         corners of (self - sliced) up to horizon - 1 stay positive."""
         diff = self.restricted(self.horizon - 1) - self.sliced()
         return diff.is_positive(tol_scale, level_limit=self.horizon - 1)
-
-    # -- serialization -----------------------------------------------------------
-
-    def to_payload(self) -> dict:
-        """JSON-ready dict {n, K, blocks}: a dense block as its row-major
-        ``entries``, a :class:`Rank1Block` as its ``coeff`` and its
-        ``left``/``right`` factors, all as [re, im] pairs."""
-        blocks = []
-        for (i, j) in sorted(self.blocks):
-            blk = self.blocks[(i, j)]
-            if isinstance(blk, Rank1Block):
-                coeff = complex(blk.coeff)
-                blocks.append({"i": i, "j": j, "coeff": [coeff.real, coeff.imag],
-                               "left": _pairs(blk.left), "right": _pairs(blk.right)})
-            else:
-                blocks.append({"i": i, "j": j, "entries": _pairs(blk)})
-        return {"n": self.ctx.n, "K": self.ctx.depth, "blocks": blocks}
 
 
 def fock_vector_state(ctx: FockContext, phi) -> BlockOperatorMatrix:
@@ -669,18 +511,12 @@ def gram_positivity_check(matrix: BlockOperatorMatrix,
                           element_sets: list[list[AlgebraElement]],
                           tol_scale: float = PSD_TOL_SCALE) -> CheckResult:
     """Positive semidefiniteness of the Gram matrix of each element set."""
-    mins, tols = [], []
-    ok = True
+    checked = []
     for elements in element_sets:
         g = gram_matrix(matrix, elements)
         g = 0.5 * (g + g.conj().T)
-        lowest = _min_eigenvalue(g)
-        tol = tol_scale * max(1.0, abs(float(np.trace(g).real)))
-        mins.append(lowest)
-        tols.append(tol)
-        if not lowest >= -tol:
-            ok = False
-    return CheckResult(ok, tuple(mins), tuple(tols))
+        checked.append((_min_eigenvalue(g), g))
+    return _psd_verdict(checked, tol_scale)
 
 
 def trace_profile_csv(matrix: BlockOperatorMatrix) -> str:
@@ -693,15 +529,10 @@ def trace_profile_csv(matrix: BlockOperatorMatrix) -> str:
 
 @dataclass
 class StateHandle:
-    """A density matrix together with optional classification metadata.
-
-    ``unique_extension`` marks a state returned as the only possible
-    extension of its input data; it is advisory and not serialized.
-    """
+    """A density matrix together with optional classification metadata."""
 
     matrix: BlockOperatorMatrix
     classification: str | None = None
-    unique_extension: bool = False
 
     def to_payload(self) -> dict:
         payload = self.matrix.to_payload()
@@ -716,26 +547,21 @@ class StateHandle:
     def from_payload(cls, payload: dict) -> "StateHandle":
         if not isinstance(payload, dict):
             raise SchemaError("state payload must be an object")
-        metadata = payload.get("metadata")
         core = {k: v for k, v in payload.items() if k != "metadata"}
-        blocks = _blocks_from_payload(core, Rank1Block)
-        ctx = FockContext(int(core["n"]), int(core["K"]))
+        ctx, blocks = _blocks_from_payload(core, rank_one=True)
         horizon = ctx.depth
-        classification = None
-        if metadata is not None:
-            if not isinstance(metadata, dict):
-                raise SchemaError("'metadata' must be an object")
-            extra = set(metadata) - {"exact_horizon", "classification", "trace_profile"}
-            if extra:
-                raise SchemaError(f"unknown keys in metadata: {sorted(extra)}")
-            if "exact_horizon" in metadata:
-                if not isinstance(metadata["exact_horizon"], int):
-                    raise SchemaError("'exact_horizon' must be an integer")
-                horizon = metadata["exact_horizon"]
-            if metadata.get("classification") is not None:
-                if not isinstance(metadata["classification"], str):
-                    raise SchemaError("'classification' must be a string")
-                classification = metadata["classification"]
+        metadata = payload.get("metadata")
+        if metadata is None:
+            metadata = {}
+        _fields(metadata, (), "metadata",
+                optional=("exact_horizon", "classification", "trace_profile"))
+        if "exact_horizon" in metadata:
+            horizon = _integer(metadata["exact_horizon"], 0, "'exact_horizon'")
+            if horizon > ctx.depth:
+                raise SchemaError(f"'exact_horizon' {horizon} exceeds K = {ctx.depth}")
+        classification = metadata.get("classification")
+        if classification is not None and not isinstance(classification, str):
+            raise SchemaError("'classification' must be a string")
         try:
             matrix = BlockOperatorMatrix.from_blocks(ctx, blocks, horizon)
         except ValueError as exc:

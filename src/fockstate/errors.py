@@ -38,10 +38,6 @@ class UndeterminedError(FockstateError):
         self.trace_profile = list(trace_profile) if trace_profile is not None else None
 
 
-class AperiodicSequenceError(FockstateError, ValueError):
-    """The unit-vector sequence has no finite period."""
-
-
 class InsufficientMomentsError(FockstateError, ValueError):
     """A moment window does not pin down an atomic measure."""
 

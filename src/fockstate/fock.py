@@ -9,6 +9,16 @@ basis of level k ordered by word index
 
 so the first letter is most significant.
 
+Operators and states are the same kind of object: a dict of level blocks.
+:class:`BlockMatrix` is the block core they share: block validation, dense
+views, comparison, block sums and scaling, and the JSON layout.  A block is a
+dense array or a :class:`Rank1Block` (``coeff * |left><right|``), which lives
+here together with its per-block helpers; :class:`FockOperator` keeps dense
+blocks only, while the states of :mod:`fockstate.density` keep rank-one
+blocks rank-one.  The codec section below holds the checks that every
+JSON decoder of the package shares: objects and their keys, integers,
+finite numbers, and [re, im] entry lists.
+
 Truncation loses whatever an operator sends above level K.  Every
 :class:`FockOperator` therefore carries an exact column horizon ``h``: the
 stored matrix agrees with the untruncated operator on all columns from
@@ -26,6 +36,8 @@ than only below the horizon.
 
 from __future__ import annotations
 
+import math
+from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
@@ -33,8 +45,14 @@ import numpy as np
 from .errors import AlphabetMismatchError, LetterRangeError, SchemaError
 from .word_algebra import AlgebraElement
 
+# A factor splits as a tensor product when the outer product of the split
+# reproduces it within this many ulps of its largest entry.
+SPLIT_ULPS = 8
+
 __all__ = [
     "FockContext",
+    "Rank1Block",
+    "BlockMatrix",
     "FockOperator",
     "left_create",
     "right_create",
@@ -103,40 +121,235 @@ class FockContext:
         return f"FockContext(n={self.n}, depth={self.depth})"
 
 
-def _require_same_context(a: "FockOperator", b: "FockOperator") -> None:
-    if not a.ctx.compatible(b.ctx):
-        raise AlphabetMismatchError(
-            f"operators live on different spaces: {a.ctx!r} vs {b.ctx!r}"
-        )
+# ---------------------------------------------------------------------------
+# The block core: dense or rank-one blocks on levels 0..K
+# ---------------------------------------------------------------------------
 
 
-class FockOperator:
+@dataclass(frozen=True)
+class Rank1Block:
+    """Block stored as coeff * |left><right| without materializing it."""
+
+    coeff: complex
+    left: np.ndarray
+    right: np.ndarray
+
+    def dense(self) -> np.ndarray:
+        return self.coeff * np.outer(self.left, self.right.conj())
+
+    def entry(self, a: int, b: int) -> complex:
+        return self.coeff * self.left[a] * np.conj(self.right[b])
+
+    def scaled(self, c: complex) -> "Rank1Block":
+        return Rank1Block(self.coeff * c, self.left, self.right)
+
+    def conj_transpose(self) -> "Rank1Block":
+        return Rank1Block(np.conj(self.coeff), self.right, self.left)
+
+    def trace(self) -> complex:
+        return self.coeff * complex(np.vdot(self.right, self.left))
+
+    def ptrace_last(self, n: int, splits: dict | None = None):
+        """Partial trace over the last tensor factor.
+
+        When left = a (x) b and right = c (x) d up to a few ulps of their
+        largest entries, the result is the rank-one block
+        coeff * <d, b> * |a><c|; otherwise it is the dense product of the
+        reshaped factors.  ``splits`` memoizes the split of each factor
+        array by identity, so blocks that share a factor still share it
+        after the slice.
+        """
+        if splits is None:
+            splits = {}
+        for vec in (self.left, self.right):
+            if id(vec) not in splits:
+                splits[id(vec)] = _split_last(vec, n)
+        left, right = splits[id(self.left)], splits[id(self.right)]
+        if left is None or right is None:
+            f = self.left.reshape(-1, n)
+            g = self.right.reshape(-1, n)
+            return self.coeff * (f @ g.conj().T)
+        (a, b), (c, d) = left, right
+        return Rank1Block(self.coeff * complex(np.vdot(d, b)), a, c)
+
+
+def _split_last(vec: np.ndarray, n: int):
+    """(a, b) with vec = a (x) b up to SPLIT_ULPS ulps of its largest entry,
+    or None.  b is scaled to 1 at the largest entry's column."""
+    mat = vec.reshape(-1, n)
+    r, c = divmod(int(np.argmax(np.abs(mat))), n)
+    pivot = mat[r, c]
+    if pivot == 0:
+        return None
+    a, b = mat[:, c], mat[r] / pivot
+    gap = np.abs(mat - np.outer(a, b)).max()
+    if not gap <= SPLIT_ULPS * np.finfo(float).eps * abs(pivot):
+        return None
+    return a, b
+
+
+def _dense(block) -> np.ndarray:
+    return block.dense() if isinstance(block, Rank1Block) else block
+
+
+def _entry(block, a: int, b: int) -> complex:
+    if isinstance(block, Rank1Block):
+        return complex(block.entry(a, b))
+    return complex(block[a, b])
+
+
+def _scaled(block, c: complex):
+    if isinstance(block, Rank1Block):
+        return block.scaled(c)
+    return c * block
+
+
+def _conj_transpose(block):
+    if isinstance(block, Rank1Block):
+        return block.conj_transpose()
+    return block.conj().T
+
+
+def _block_trace(block) -> complex:
+    if isinstance(block, Rank1Block):
+        return complex(block.trace())
+    return complex(np.trace(block))
+
+
+def _ptrace_last(block, n: int, rows: int, cols: int, splits: dict):
+    if isinstance(block, Rank1Block):
+        return block.ptrace_last(n, splits)
+    return np.trace(block.reshape(rows, n, cols, n), axis1=1, axis2=3)
+
+
+class BlockMatrix:
+    """Blocks on the truncated levels, keyed by (row level, column level).
+
+    Block (i, j) is a complex array of shape (n^i, n^j) or a
+    :class:`Rank1Block` with factors of sizes n^i and n^j.  Absent blocks
+    are zero, and zero blocks are not stored.  Subclasses add their horizon
+    bookkeeping and their algebra.
+    """
+
+    __slots__ = ("ctx", "blocks")
+
+    def __init__(self, ctx: FockContext, blocks: dict):
+        self.ctx = ctx
+        self.blocks = {}
+        for (i, j), block in blocks.items():
+            if not (0 <= i <= ctx.depth and 0 <= j <= ctx.depth):
+                raise ValueError(f"block ({i},{j}) outside levels 0..{ctx.depth}")
+            shape = (ctx.dim(i), ctx.dim(j))
+            if isinstance(block, Rank1Block):
+                if block.left.shape != shape[:1] or block.right.shape != shape[1:]:
+                    raise ValueError(f"rank-one block ({i},{j}) has wrong factor sizes")
+                if block.coeff == 0:
+                    continue
+            else:
+                block = np.asarray(block, dtype=complex)
+                if block.shape != shape:
+                    raise ValueError(
+                        f"block ({i},{j}) has shape {block.shape}, expected {shape}"
+                    )
+                if not np.any(block):
+                    continue
+            self.blocks[(i, j)] = block
+
+    def _require_same_context(self, other: "BlockMatrix") -> None:
+        if not self.ctx.compatible(other.ctx):
+            raise AlphabetMismatchError(
+                f"operands live on different spaces: {self.ctx!r} vs {other.ctx!r}"
+            )
+
+    def block(self, i: int, j: int) -> np.ndarray:
+        """Dense block (zeros when absent)."""
+        blk = self.blocks.get((i, j))
+        if blk is None:
+            return np.zeros((self.ctx.dim(i), self.ctx.dim(j)), dtype=complex)
+        return _dense(blk)
+
+    def corner(self, k: int) -> np.ndarray:
+        """Dense matrix over levels 0..k."""
+        if k > self.ctx.depth:
+            raise ValueError(f"corner {k} outside depth {self.ctx.depth}")
+        off = self.ctx.level_offsets
+        size = off[k + 1]
+        out = np.zeros((size, size), dtype=complex)
+        for (i, j), blk in self.blocks.items():
+            if i <= k and j <= k:
+                out[off[i]:off[i + 1], off[j]:off[j + 1]] = _dense(blk)
+        return out
+
+    def to_dense(self) -> np.ndarray:
+        """Assemble the full matrix over all kept levels."""
+        return self.corner(self.ctx.depth)
+
+    def max_abs(self, level_limit: int | None = None) -> float:
+        """Largest entry over the blocks with both levels <= level_limit."""
+        worst = 0.0
+        for (i, j), blk in self.blocks.items():
+            if level_limit is None or max(i, j) <= level_limit:
+                worst = max(worst, float(np.abs(_dense(blk)).max()))
+        return worst
+
+    def _max_diff(self, other: "BlockMatrix", keep) -> float:
+        """Largest entry of self - other over the blocks (i, j) with keep(i, j)."""
+        self._require_same_context(other)
+        worst = 0.0
+        for key in set(self.blocks) | set(other.blocks):
+            if keep(*key):
+                d = np.abs(self.block(*key) - other.block(*key)).max()
+                worst = max(worst, float(d))
+        return worst
+
+    def _sum_blocks(self, other: "BlockMatrix") -> dict:
+        """Blocks of self + other.  A block only one operand holds is kept
+        as it is, so rank-one blocks stay rank-one; the rest sum dense."""
+        self._require_same_context(other)
+        acc = dict(self.blocks)
+        for key, blk in other.blocks.items():
+            mine = acc.get(key)
+            acc[key] = blk if mine is None else _dense(mine) + _dense(blk)
+        return acc
+
+    def _scaled_blocks(self, scalar) -> dict:
+        scalar = complex(scalar)
+        return {key: _scaled(blk, scalar) for key, blk in self.blocks.items()}
+
+    def __sub__(self, other):
+        return self + (-1.0) * other
+
+    def to_payload(self) -> dict:
+        """JSON-ready dict {n, K, blocks}: a dense block as its row-major
+        ``entries``, a :class:`Rank1Block` as its ``coeff`` and its
+        ``left``/``right`` factors, all as [re, im] pairs."""
+        blocks = []
+        for (i, j) in sorted(self.blocks):
+            blk = self.blocks[(i, j)]
+            if isinstance(blk, Rank1Block):
+                coeff = complex(blk.coeff)
+                blocks.append({"i": i, "j": j, "coeff": [coeff.real, coeff.imag],
+                               "left": _pairs(blk.left), "right": _pairs(blk.right)})
+            else:
+                blocks.append({"i": i, "j": j, "entries": _pairs(blk)})
+        return {"n": self.ctx.n, "K": self.ctx.depth, "blocks": blocks}
+
+
+class FockOperator(BlockMatrix):
     """Block matrix on the truncated Fock space with horizon bookkeeping.
 
     ``blocks`` maps (row level, column level) to a dense complex array of
-    shape (n^i, n^j).  Absent blocks are zero.  See the module docstring
-    for the meaning of ``horizon``, ``exact`` and ``compression``.
+    shape (n^i, n^j); a :class:`Rank1Block` given to the constructor is
+    stored dense.  See the module docstring for the meaning of ``horizon``,
+    ``exact`` and ``compression``.
     """
 
-    __slots__ = ("ctx", "blocks", "horizon", "raise_bound", "drop_bound",
-                 "exact", "compression")
+    __slots__ = ("horizon", "raise_bound", "drop_bound", "exact", "compression")
 
     def __init__(self, ctx: FockContext, blocks: dict, horizon: int,
                  raise_bound: int, drop_bound: int,
                  exact: bool = False, compression: bool = False):
-        self.ctx = ctx
-        self.blocks = {}
-        for (i, j), arr in blocks.items():
-            if not (0 <= i <= ctx.depth and 0 <= j <= ctx.depth):
-                raise ValueError(f"block ({i},{j}) outside levels 0..{ctx.depth}")
-            arr = np.asarray(arr, dtype=complex)
-            if arr.shape != (ctx.dim(i), ctx.dim(j)):
-                raise ValueError(
-                    f"block ({i},{j}) has shape {arr.shape}, "
-                    f"expected {(ctx.dim(i), ctx.dim(j))}"
-                )
-            if np.any(arr):
-                self.blocks[(i, j)] = arr
+        super().__init__(ctx, {key: _dense(blk) for key, blk in blocks.items()})
         self.horizon = max(-1, min(horizon, ctx.depth))
         self.raise_bound = max(0, raise_bound)
         self.drop_bound = max(0, drop_bound)
@@ -151,9 +364,7 @@ class FockOperator:
 
     @classmethod
     def identity(cls, ctx: FockContext) -> "FockOperator":
-        blocks = {(k, k): np.eye(ctx.dim(k), dtype=complex)
-                  for k in range(ctx.depth + 1)}
-        return cls(ctx, blocks, ctx.depth, 0, 0, exact=True)
+        return cls.corner_projection(ctx, ctx.depth)
 
     @classmethod
     def level_projection(cls, ctx: FockContext, k: int) -> "FockOperator":
@@ -172,19 +383,6 @@ class FockOperator:
         return cls(ctx, blocks, ctx.depth, 0, 0, exact=True)
 
     @classmethod
-    def basis_rank_one(cls, ctx: FockContext, row_word, col_word) -> "FockOperator":
-        """Rank-one operator sending the basis vector of ``col_word`` to
-        the basis vector of ``row_word``."""
-        row_word, col_word = tuple(row_word), tuple(col_word)
-        i, j = len(row_word), len(col_word)
-        if i > ctx.depth or j > ctx.depth:
-            raise ValueError("word longer than the truncation depth")
-        arr = np.zeros((ctx.dim(i), ctx.dim(j)), dtype=complex)
-        arr[ctx.word_index(row_word), ctx.word_index(col_word)] = 1.0
-        return cls(ctx, {(i, j): arr}, ctx.depth,
-                   max(0, i - j), max(0, j - i), exact=True)
-
-    @classmethod
     def from_blocks(cls, ctx: FockContext, blocks: dict) -> "FockOperator":
         """Wrap explicit blocks as a finitely supported operator."""
         rb = max((i - j for (i, j) in blocks), default=0)
@@ -193,65 +391,23 @@ class FockOperator:
 
     # -- inspection ----------------------------------------------------
 
-    def block(self, i: int, j: int) -> np.ndarray:
-        """Dense block (zeros when absent)."""
-        arr = self.blocks.get((i, j))
-        if arr is None:
-            return np.zeros((self.ctx.dim(i), self.ctx.dim(j)), dtype=complex)
-        return arr
-
-    def support_level(self) -> int:
-        """Largest level carrying a nonzero block; -1 for the zero operator."""
-        if not self.blocks:
-            return -1
-        return max(max(i, j) for i, j in self.blocks)
-
-    def max_abs(self) -> float:
-        if not self.blocks:
-            return 0.0
-        return max(np.abs(arr).max() for arr in self.blocks.values())
-
     def diff(self, other: "FockOperator", col_limit: int | None = None) -> float:
         """Largest entry of self - other over columns from levels <= col_limit.
 
         With no limit, compares every stored block.
         """
-        _require_same_context(self, other)
-        keys = set(self.blocks) | set(other.blocks)
-        worst = 0.0
-        for (i, j) in keys:
-            if col_limit is not None and j > col_limit:
-                continue
-            d = np.abs(self.block(i, j) - other.block(i, j)).max()
-            worst = max(worst, float(d))
-        return worst
-
-    def to_dense(self) -> np.ndarray:
-        """Assemble the full matrix over all kept levels."""
-        ctx = self.ctx
-        out = np.zeros((ctx.total_dim, ctx.total_dim), dtype=complex)
-        for (i, j), arr in self.blocks.items():
-            r0, c0 = ctx.level_offsets[i], ctx.level_offsets[j]
-            out[r0:r0 + ctx.dim(i), c0:c0 + ctx.dim(j)] = arr
-        return out
+        return self._max_diff(other, lambda i, j: col_limit is None or j <= col_limit)
 
     # -- arithmetic ------------------------------------------------------
 
     def __add__(self, other: "FockOperator") -> "FockOperator":
-        _require_same_context(self, other)
-        acc = dict(self.blocks)
-        for key, arr in other.blocks.items():
-            acc[key] = acc[key] + arr if key in acc else arr
         return FockOperator(
-            self.ctx, acc, min(self.horizon, other.horizon),
+            self.ctx, self._sum_blocks(other), min(self.horizon, other.horizon),
             max(self.raise_bound, other.raise_bound),
             max(self.drop_bound, other.drop_bound),
             exact=self.exact and other.exact,
             compression=self.compression and other.compression,
         )
-
-    def __sub__(self, other: "FockOperator") -> "FockOperator":
-        return self + (-1.0) * other
 
     def __neg__(self) -> "FockOperator":
         return (-1.0) * self
@@ -259,9 +415,8 @@ class FockOperator:
     def __rmul__(self, scalar) -> "FockOperator":
         if isinstance(scalar, FockOperator):
             return NotImplemented
-        scalar = complex(scalar)
         return FockOperator(
-            self.ctx, {k: scalar * v for k, v in self.blocks.items()},
+            self.ctx, self._scaled_blocks(scalar),
             self.horizon, self.raise_bound, self.drop_bound,
             exact=self.exact, compression=self.compression,
         )
@@ -272,7 +427,7 @@ class FockOperator:
         return self.__rmul__(scalar)
 
     def __matmul__(self, other: "FockOperator") -> "FockOperator":
-        _require_same_context(self, other)
+        self._require_same_context(other)
         acc: dict = {}
         for (i, m), a in self.blocks.items():
             for (m2, j), b in other.blocks.items():
@@ -317,22 +472,49 @@ class FockOperator:
 
     # -- serialization ---------------------------------------------------
 
-    def to_payload(self) -> dict:
-        """JSON-ready dict: {n, K, blocks: [{i, j, entries}]} with entries
-        as a row-major list of [re, im] pairs."""
-        blocks = [{"i": i, "j": j, "entries": _pairs(self.blocks[(i, j)])}
-                  for (i, j) in sorted(self.blocks)]
-        return {"n": self.ctx.n, "K": self.ctx.depth, "blocks": blocks}
-
     @classmethod
     def from_payload(cls, payload: dict) -> "FockOperator":
-        blocks = _blocks_from_payload(payload)
-        ctx = FockContext(int(payload["n"]), int(payload["K"]))
-        return cls.from_blocks(ctx, blocks)
+        """Decode {n, K, blocks} with dense ``entries`` only."""
+        return cls.from_blocks(*_blocks_from_payload(payload))
 
 
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
+# ---------------------------------------------------------------------------
+# The JSON codec: the payload checks shared by every decoder
+# ---------------------------------------------------------------------------
+
+
+def _fields(payload, required, what: str, optional=()) -> list:
+    """Values of the ``required`` keys of a JSON object, after checking that
+    it is an object with no unknown and no missing key."""
+    if not isinstance(payload, dict):
+        raise SchemaError(f"{what} must be an object")
+    extra = set(payload) - set(required) - set(optional)
+    if extra:
+        raise SchemaError(f"unknown keys in {what}: {sorted(extra)}")
+    for key in required:
+        if key not in payload:
+            raise SchemaError(f"{what} missing key {key!r}")
+    return [payload[key] for key in required]
+
+
+def _integer(value, low: int, what: str) -> int:
+    """A JSON integer (not a boolean) of at least ``low``."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < low:
+        raise SchemaError(f"{what} must be an integer >= {low}")
+    return value
+
+
+def _finite_number(value, what: str) -> float:
+    """A finite JSON number (not a boolean) as a float."""
+    if type(value) not in (int, float):
+        raise SchemaError(f"{what} must be a number")
+    try:
+        value = float(value)
+    except OverflowError:
+        raise SchemaError(f"{what} is beyond the float range") from None
+    if not math.isfinite(value):
+        raise SchemaError(f"{what} must be a finite number")
+    return value
 
 
 def _is_number_pair(pair) -> bool:
@@ -379,62 +561,41 @@ _DENSE_KEYS = ("i", "j", "entries")
 _FACTORED_KEYS = ("i", "j", "coeff", "left", "right")
 
 
-def _blocks_from_payload(payload: dict, rank_one=None) -> dict:
-    """Validate and decode the shared {n, K, blocks} layout.
+def _blocks_from_payload(payload: dict, rank_one: bool = False):
+    """Validate and decode the shared {n, K, blocks} layout to (ctx, blocks).
 
     A block record holds its ``entries`` densely, as row-major [re, im]
-    pairs.  When ``rank_one`` is given, a record may instead hold a
-    ``coeff`` pair and ``left``/``right`` factors as lists of pairs; it is
-    decoded to ``rank_one(coeff, left, right)``, and bit-identical factors
-    are decoded to one shared array.  A record never mixes the two kinds.
+    pairs.  With ``rank_one``, a record may instead hold a ``coeff`` pair
+    and ``left``/``right`` factors as lists of pairs; it is decoded to a
+    :class:`Rank1Block`, and bit-identical factors are decoded to one
+    shared array.  A record never mixes the two kinds.
     """
-    if not isinstance(payload, dict):
-        raise SchemaError("operator payload must be an object")
-    extra = set(payload) - {"n", "K", "blocks"}
-    if extra:
-        raise SchemaError(f"unknown keys in operator payload: {sorted(extra)}")
-    for key in ("n", "K", "blocks"):
-        if key not in payload:
-            raise SchemaError(f"operator payload missing key {key!r}")
-    n, depth = payload["n"], payload["K"]
-    if not _is_int(n) or not _is_int(depth):
-        raise SchemaError("'n' and 'K' must be integers")
-    if n < 1 or depth < 0:
-        raise SchemaError(f"invalid sizes n={n}, K={depth}")
-    if not isinstance(payload["blocks"], list):
+    n, depth, records = _fields(payload, ("n", "K", "blocks"), "operator payload")
+    ctx = FockContext(_integer(n, 1, "'n'"), _integer(depth, 0, "'K'"))
+    if not isinstance(records, list):
         raise SchemaError("'blocks' must be a list")
     blocks = {}
     factors = {}
-    for rec in payload["blocks"]:
-        if not isinstance(rec, dict):
-            raise SchemaError("each block must be an object")
-        factored = rank_one is not None and "coeff" in rec
-        keys = _FACTORED_KEYS if factored else _DENSE_KEYS
-        extra = set(rec) - set(keys)
-        if extra:
-            raise SchemaError(f"unknown keys in block: {sorted(extra)}")
-        for key in keys:
-            if key not in rec:
-                raise SchemaError(f"block missing key {key!r}")
-        i, j = rec["i"], rec["j"]
-        if not _is_int(i) or not _is_int(j):
-            raise SchemaError("block indices must be integers")
-        if not 0 <= i <= depth or not 0 <= j <= depth:
+    for rec in records:
+        factored = rank_one and isinstance(rec, dict) and "coeff" in rec
+        values = _fields(rec, _FACTORED_KEYS if factored else _DENSE_KEYS, "block")
+        i, j = (_integer(index, 0, "block index") for index in values[:2])
+        if i > depth or j > depth:
             raise SchemaError(f"block ({i},{j}) outside levels 0..{depth}")
         if (i, j) in blocks:
             raise SchemaError(f"duplicate block ({i},{j})")
-        rows, cols = n**i, n**j
+        rows, cols = ctx.dim(i), ctx.dim(j)
         if not factored:
-            entries = _sized_entries(rec["entries"], rows * cols, f"block ({i},{j})")
+            entries = _sized_entries(values[2], rows * cols, f"block ({i},{j})")
             blocks[(i, j)] = entries.reshape(rows, cols)
             continue
-        coeff = _sized_entries([rec["coeff"]], 1, f"the coefficient of block ({i},{j})")
-        left = _sized_entries(rec["left"], rows, f"the left factor of block ({i},{j})")
-        right = _sized_entries(rec["right"], cols, f"the right factor of block ({i},{j})")
-        left = factors.setdefault(left.tobytes(), left)
-        right = factors.setdefault(right.tobytes(), right)
-        blocks[(i, j)] = rank_one(complex(coeff[0]), left, right)
-    return blocks
+        coeff = _sized_entries([values[2]], 1, f"the coefficient of block ({i},{j})")
+        left = _sized_entries(values[3], rows, f"the left factor of block ({i},{j})")
+        right = _sized_entries(values[4], cols, f"the right factor of block ({i},{j})")
+        blocks[(i, j)] = Rank1Block(complex(coeff[0]),
+                                    factors.setdefault(left.tobytes(), left),
+                                    factors.setdefault(right.tobytes(), right))
+    return ctx, blocks
 
 
 # ---------------------------------------------------------------------------
@@ -442,31 +603,28 @@ def _blocks_from_payload(payload: dict, rank_one=None) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def left_create(ctx: FockContext, i: int) -> FockOperator:
-    """Prepend letter i: sends the word w to (i)w.  Kills level K."""
+def _create(ctx: FockContext, i: int, row_of) -> FockOperator:
+    """Creation by letter i: word index w of level k goes to row row_of(w)
+    of level k + 1.  Kills level K."""
     if not 1 <= i <= ctx.n:
         raise LetterRangeError(f"letter {i} outside 1..{ctx.n}")
     blocks = {}
     for k in range(ctx.depth):
-        dk = ctx.dim(k)
-        arr = np.zeros((ctx.dim(k + 1), dk), dtype=complex)
-        base = (i - 1) * dk
-        arr[base + np.arange(dk), np.arange(dk)] = 1.0
+        cols = np.arange(ctx.dim(k))
+        arr = np.zeros((ctx.dim(k + 1), cols.size), dtype=complex)
+        arr[row_of(cols), cols] = 1.0
         blocks[(k + 1, k)] = arr
     return FockOperator(ctx, blocks, ctx.depth - 1, 1, 0, compression=True)
+
+
+def left_create(ctx: FockContext, i: int) -> FockOperator:
+    """Prepend letter i: sends the word w to (i)w.  Kills level K."""
+    return _create(ctx, i, lambda w: (i - 1) * w.size + w)
 
 
 def right_create(ctx: FockContext, i: int) -> FockOperator:
     """Append letter i: sends the word w to w(i).  Kills level K."""
-    if not 1 <= i <= ctx.n:
-        raise LetterRangeError(f"letter {i} outside 1..{ctx.n}")
-    blocks = {}
-    for k in range(ctx.depth):
-        dk = ctx.dim(k)
-        arr = np.zeros((ctx.dim(k + 1), dk), dtype=complex)
-        arr[np.arange(dk) * ctx.n + (i - 1), np.arange(dk)] = 1.0
-        blocks[(k + 1, k)] = arr
-    return FockOperator(ctx, blocks, ctx.depth - 1, 1, 0, compression=True)
+    return _create(ctx, i, lambda w: w * ctx.n + (i - 1))
 
 
 def represent(ctx: FockContext, element: AlgebraElement) -> FockOperator:

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InsufficientMomentsError, SchemaError
+from .fock import _fields, _finite_number
 
 MEASURE_SUM_TOL = 1e-12
 HERGLOTZ_TOL = 1e-10
@@ -127,45 +128,19 @@ class CircleMeasure:
 
     @classmethod
     def from_payload(cls, payload: dict) -> "CircleMeasure":
-        if not isinstance(payload, dict):
-            raise SchemaError("measure payload must be an object")
-        extra = set(payload) - {"haar_weight", "atoms"}
-        if extra:
-            raise SchemaError(f"unknown keys in measure payload: {sorted(extra)}")
-        for key in ("haar_weight", "atoms"):
-            if key not in payload:
-                raise SchemaError(f"measure payload missing key {key!r}")
-        haar_weight = _finite_number(payload["haar_weight"], "'haar_weight'")
-        if not isinstance(payload["atoms"], list):
+        haar_weight, records = _fields(payload, ("haar_weight", "atoms"), "measure payload")
+        haar_weight = _finite_number(haar_weight, "'haar_weight'")
+        if not isinstance(records, list):
             raise SchemaError("'atoms' must be a list")
         atoms = []
-        for rec in payload["atoms"]:
-            if not isinstance(rec, dict):
-                raise SchemaError("each atom must be an object")
-            extra = set(rec) - {"angle", "weight"}
-            if extra:
-                raise SchemaError(f"unknown keys in atom: {sorted(extra)}")
-            if "angle" not in rec or "weight" not in rec:
-                raise SchemaError("atom needs 'angle' and 'weight'")
-            atoms.append((_finite_number(rec["angle"], "atom angle"),
-                          _finite_number(rec["weight"], "atom weight")))
+        for rec in records:
+            angle, weight = _fields(rec, ("angle", "weight"), "atom")
+            atoms.append((_finite_number(angle, "atom angle"),
+                          _finite_number(weight, "atom weight")))
         try:
             return cls(haar_weight=haar_weight, atoms=tuple(atoms))
         except ValueError as exc:
             raise SchemaError(str(exc)) from None
-
-
-def _finite_number(value, what: str) -> float:
-    """A finite JSON number (not a boolean) as a float."""
-    if type(value) not in (int, float):
-        raise SchemaError(f"{what} must be a number")
-    try:
-        value = float(value)
-    except OverflowError:
-        raise SchemaError(f"{what} is beyond the float range") from None
-    if not math.isfinite(value):
-        raise SchemaError(f"{what} must be a finite number")
-    return value
 
 
 def fourier(measure: CircleMeasure, m: int) -> complex:
@@ -203,12 +178,6 @@ class MomentSequence:
         if a >= 0:
             return self._values[a]
         return np.conj(self._values[-a])
-
-    def values_dict(self) -> dict[int, complex]:
-        out = {}
-        for a in range(-self.window, self.window + 1):
-            out[a] = self.value(a)
-        return out
 
     def toeplitz(self) -> np.ndarray:
         size = self.window + 1

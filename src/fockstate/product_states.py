@@ -15,9 +15,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .density import BlockOperatorMatrix, Rank1Block, StateHandle, _scaled
-from .errors import AperiodicSequenceError, HorizonError, SchemaError
-from .fock import FockContext, _pairs, _sized_entries
+from .density import BlockOperatorMatrix, StateHandle
+from .errors import HorizonError, SchemaError
+from .fock import FockContext, Rank1Block, _fields, _integer, _pairs, _scaled, _sized_entries
 from .measures import CircleMeasure, MomentSequence, fourier
 
 __all__ = [
@@ -108,47 +108,36 @@ class UnitVectorSequence:
 
     @classmethod
     def from_payload(cls, payload: dict) -> "UnitVectorSequence":
-        if not isinstance(payload, dict):
-            raise SchemaError("sequence payload must be an object")
-        keys = {"n", "prefix", "cycle"}
-        extra = set(payload) - keys
-        if extra:
-            raise SchemaError(f"unknown keys in sequence payload: {sorted(extra)}")
-        missing = keys - set(payload)
-        if missing:
-            raise SchemaError(f"missing keys in sequence payload: {sorted(missing)}")
-        n = payload["n"]
-        if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-            raise SchemaError("'n' must be a positive integer")
-        for key in ("prefix", "cycle"):
-            if not isinstance(payload[key], list):
+        n, prefix, cycle = _fields(payload, ("n", "prefix", "cycle"), "sequence payload")
+        n = _integer(n, 1, "'n'")
+        for key, vectors in (("prefix", prefix), ("cycle", cycle)):
+            if not isinstance(vectors, list):
                 raise SchemaError(f"'{key}' must be a list of vectors")
-        prefix = [_sized_entries(v, n, "prefix vector") for v in payload["prefix"]]
-        cycle = [_sized_entries(v, n, "cycle vector") for v in payload["cycle"]]
+        prefix = [_sized_entries(v, n, "prefix vector") for v in prefix]
+        cycle = [_sized_entries(v, n, "cycle vector") for v in cycle]
         try:
             return cls(n, prefix, cycle)
         except ValueError as exc:
             raise SchemaError(str(exc)) from None
 
 
-def period(seq: UnitVectorSequence, tol: float = PERIOD_TOL) -> int | None:
+def period(seq: UnitVectorSequence, tol: float = PERIOD_TOL) -> int:
     """Smallest p with |<e_i, e_{i+p}>| = 1 for every i beyond the prefix.
 
     Candidates run up to the cycle length; the pattern of slot pairs
     repeats with that length, so checking one full cycle of indices past
     the prefix decides each candidate.  The cycle length itself always
-    qualifies (the pairs are then the same stored vector), so None is
-    possible only for data outside this representation; the return
-    contract keeps the aperiodic case explicit anyway.
+    qualifies, because the pairs are then the same stored vector, so it is
+    the last candidate and every sequence has a period.
     """
     start = seq.prefix_len + 1
-    for p in range(1, seq.cycle_len + 1):
+    for p in range(1, seq.cycle_len):
         if all(
             abs(abs(seq.overlap(i, i + p)) - 1.0) <= tol
             for i in range(start, start + seq.cycle_len)
         ):
             return p
-    return None
+    return seq.cycle_len
 
 
 def rephase(seq: UnitVectorSequence, p: int | None = None) -> "UnitVectorSequence":
@@ -162,8 +151,6 @@ def rephase(seq: UnitVectorSequence, p: int | None = None) -> "UnitVectorSequenc
     """
     if p is None:
         p = period(seq)
-        if p is None:
-            raise AperiodicSequenceError("sequence has no period up to its cycle length")
     p = int(p)
     if p < 1:
         raise ValueError("period must be a positive integer")
@@ -230,23 +217,18 @@ class ExtensionCoefficients:
         table[k, l] = table[k + 1, l + 1] * <e_{l+1}, e_{k+1}>
 
     with the mirror half filled by conjugation, so that recursion and
-    the Hermitian symmetry hold exactly on the stored values.  ``tails``
-    caches the tail products with the Fourier factor stripped.
+    the Hermitian symmetry hold exactly on the stored values.
     """
 
-    __slots__ = ("period", "depth", "table", "tails")
+    __slots__ = ("period", "depth", "table")
 
-    def __init__(self, period: int, depth: int, table: np.ndarray, tails: np.ndarray):
+    def __init__(self, period: int, depth: int, table: np.ndarray):
         self.period = int(period)
         self.depth = int(depth)
         self.table = table
-        self.tails = tails
 
     def value(self, k: int, l: int) -> complex:
         return complex(self.table[k, l])
-
-    def tail(self, k: int, l: int) -> complex:
-        return complex(self.tails[k, l])
 
 
 def _tail_product(seq: UnitVectorSequence, k: int, l: int) -> complex:
@@ -274,28 +256,23 @@ def extension_coefficients(
     p = int(p)
     if not is_rephased(seq, p):
         raise ValueError(
-            "sequence must be rephased with cycle length equal to the period"
+            "sequence must be rephased with cycle length equal to the period; "
+            "apply rephase() first"
         )
     K = int(depth)
     lam = np.zeros((K + 1, K + 1), dtype=complex)
-    tails = np.zeros((K + 1, K + 1), dtype=complex)
     for m in range(K // p + 1):
         d = m * p
         moment = complex(fourier(measure, m))
-        seed_tail = _tail_product(seq, K, K - d)
-        lam[K, K - d] = moment * seed_tail
-        tails[K, K - d] = seed_tail
+        lam[K, K - d] = moment * _tail_product(seq, K, K - d)
         for k in range(K, d, -1):
             l = k - d
-            step = seq.overlap(l, k)
-            lam[k - 1, l - 1] = lam[k, l] * step
-            tails[k - 1, l - 1] = tails[k, l] * step
+            lam[k - 1, l - 1] = lam[k, l] * seq.overlap(l, k)
         if d:
             for k in range(d, K + 1):
                 l = k - d
                 lam[l, k] = np.conj(lam[k, l])
-                tails[l, k] = np.conj(tails[k, l])
-    return ExtensionCoefficients(p, K, lam, tails)
+    return ExtensionCoefficients(p, K, lam)
 
 
 def extend(seq: UnitVectorSequence, measure: CircleMeasure, depth: int) -> StateHandle:
@@ -304,20 +281,9 @@ def extend(seq: UnitVectorSequence, measure: CircleMeasure, depth: int) -> State
     The block coupling column level i to row level j is the coefficient
     at (j, i) times the outer product of the elementary tensors, so the
     state restricts to the product state on the diagonal and is
-    invariant under slicing by the coefficient recursion.  A sequence
-    without a period admits only the gauge-invariant extension; that
-    product state is returned with ``unique_extension`` set and the
-    measure is ignored.
+    invariant under slicing by the coefficient recursion.
     """
     p = period(seq)
-    if p is None:
-        handle = product_state(seq, depth)
-        handle.unique_extension = True
-        return handle
-    if not is_rephased(seq, p):
-        raise ValueError(
-            "sequence must be rephased before extension; apply rephase() first"
-        )
     coeffs = extension_coefficients(seq, p, measure, depth)
     ctx = FockContext(seq.n, depth)
     tensors = elementary_tensors(seq, depth)
@@ -390,18 +356,8 @@ def recover_measure_moments(
 
 def parse_extension_request(payload: dict):
     """Decode an extension request {sequence, measure, depth}."""
-    if not isinstance(payload, dict):
-        raise SchemaError("extension request must be an object")
-    keys = {"sequence", "measure", "depth"}
-    extra = set(payload) - keys
-    if extra:
-        raise SchemaError(f"unknown keys in extension request: {sorted(extra)}")
-    missing = keys - set(payload)
-    if missing:
-        raise SchemaError(f"missing keys in extension request: {sorted(missing)}")
-    seq = UnitVectorSequence.from_payload(payload["sequence"])
-    measure = CircleMeasure.from_payload(payload["measure"])
-    depth = payload["depth"]
-    if not isinstance(depth, int) or isinstance(depth, bool) or depth < 0:
-        raise SchemaError("'depth' must be a nonnegative integer")
-    return seq, measure, depth
+    sequence, measure, depth = _fields(
+        payload, ("sequence", "measure", "depth"), "extension request")
+    seq = UnitVectorSequence.from_payload(sequence)
+    measure = CircleMeasure.from_payload(measure)
+    return seq, measure, _integer(depth, 0, "'depth'")

@@ -43,7 +43,6 @@ __all__ = [
     "Word",
     "Monomial",
     "AlgebraElement",
-    "word_concat",
     "monomial_mul",
     "adjoint",
     "gauge_apply",
@@ -87,18 +86,10 @@ class Word:
 
     __add__ = concat
 
-    def startswith(self, prefix: "Word") -> bool:
-        return self.letters[: len(prefix.letters)] == prefix.letters
-
     def __str__(self) -> str:
         if not self.letters:
             return "e"
         return "(" + ",".join(str(x) for x in self.letters) + ")"
-
-
-def word_concat(a: Word, b: Word) -> Word:
-    """Concatenate two words over the same alphabet."""
-    return a.concat(b)
 
 
 @dataclass(frozen=True)
@@ -117,19 +108,6 @@ class Monomial:
     @property
     def n(self) -> int:
         return self.left.n
-
-    @property
-    def degree(self) -> int:
-        return max(len(self.left), len(self.right))
-
-    def is_zero(self) -> bool:
-        return abs(self.coeff) < COEFF_PRUNE
-
-    def scaled(self, c: complex) -> "Monomial":
-        return Monomial(self.coeff * c, self.left, self.right)
-
-    def adjoint(self) -> "Monomial":
-        return Monomial(self.coeff.conjugate(), self.right, self.left)
 
     def __mul__(self, other: "Monomial") -> "Monomial":
         return monomial_mul(self, other)
@@ -205,19 +183,11 @@ class AlgebraElement:
     def from_monomial(cls, m: Monomial) -> "AlgebraElement":
         return cls(m.n, {(m.left.letters, m.right.letters): m.coeff})
 
-    @classmethod
-    def monomial(cls, n: int, coeff: complex, left, right) -> "AlgebraElement":
-        return cls(n, {(tuple(left), tuple(right)): coeff})
-
     # -- views -------------------------------------------------------
 
     @property
     def terms(self) -> dict[TermKey, complex]:
         return dict(self._terms)
-
-    def monomials(self) -> Iterator[Monomial]:
-        for (lt, rt), c in sorted(self._terms.items()):
-            yield Monomial(c, Word(lt, self.n), Word(rt, self.n))
 
     def degree(self) -> int:
         """Largest word length appearing; 0 for scalars and for zero."""
@@ -486,11 +456,10 @@ def _tokenize(text: str) -> list[_Token]:
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token], n: int, text: str):
+    def __init__(self, tokens: list[_Token], n: int):
         self.tokens = tokens
         self.k = 0
         self.n = n
-        self.text = text
 
     def peek(self) -> _Token:
         return self.tokens[self.k]
@@ -566,7 +535,7 @@ def parse_expression(text: str, n: int) -> AlgebraElement:
     :class:`LetterRangeError` when a letter exceeds the alphabet.
     """
     tokens = _tokenize(text)
-    parser = _Parser(tokens, n, text)
+    parser = _Parser(tokens, n)
     result = parser.parse_element()
     trailing = parser.peek()
     if trailing.kind != "end":

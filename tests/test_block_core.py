@@ -1,0 +1,137 @@
+"""The block core shared by operators and states, and the payload checks.
+
+``FockOperator`` and ``BlockOperatorMatrix`` validate and store their blocks
+through one base class, and every JSON decoder checks its objects through
+one set of codec helpers; these tests pin both for every user.
+"""
+
+import json
+
+import numpy as np
+import pytest
+
+from fockstate.density import BlockOperatorMatrix, Rank1Block, StateHandle
+from fockstate.errors import AlphabetMismatchError, SchemaError
+from fockstate.fock import FockContext, FockOperator
+from fockstate.measures import CircleMeasure
+from fockstate.product_states import (
+    UnitVectorSequence,
+    extend,
+    parse_extension_request,
+)
+
+CTX = FockContext(2, 1)
+CONTAINERS = [FockOperator.from_blocks, BlockOperatorMatrix]
+IDS = ["operator", "state"]
+
+
+def ones(size):
+    return np.ones(size, dtype=complex)
+
+
+@pytest.mark.parametrize("make", CONTAINERS, ids=IDS)
+class TestValidation:
+    @pytest.mark.parametrize("key", [(2, 0), (0, 2), (-1, 0)])
+    def test_block_outside_levels(self, make, key):
+        with pytest.raises(ValueError, match="outside levels"):
+            make(CTX, {key: np.ones((1, 1))})
+
+    def test_wrong_shape(self, make):
+        with pytest.raises(ValueError, match="shape"):
+            make(CTX, {(1, 1): np.eye(3)})
+
+    @pytest.mark.parametrize("left, right", [(3, 2), (2, 1)])
+    def test_wrong_factor_size(self, make, left, right):
+        with pytest.raises(ValueError):
+            make(CTX, {(1, 1): Rank1Block(1.0, ones(left), ones(right))})
+
+    def test_zero_blocks_are_not_stored(self, make):
+        mat = make(CTX, {(0, 0): np.zeros((1, 1)),
+                         (1, 1): Rank1Block(0.0, ones(2), ones(2)),
+                         (1, 0): np.ones((2, 1))})
+        assert set(mat.blocks) == {(1, 0)}
+
+    def test_different_spaces(self, make):
+        a = make(CTX, {})
+        b = make(FockContext(3, 1), {})
+        with pytest.raises(AlphabetMismatchError):
+            a + b
+        with pytest.raises(AlphabetMismatchError):
+            a - b
+
+
+def test_operator_blocks_are_dense_state_blocks_stay_rank_one():
+    block = Rank1Block(2.0, ones(2), ones(2))
+    op = FockOperator.from_blocks(CTX, {(1, 1): block})
+    state = BlockOperatorMatrix(CTX, {(1, 1): block})
+    assert isinstance(op.blocks[(1, 1)], np.ndarray)
+    assert np.array_equal(op.blocks[(1, 1)], block.dense())
+    assert state.blocks[(1, 1)] is block
+
+
+def test_operator_payload_rejects_factored_blocks():
+    seq = UnitVectorSequence(2, [], [np.array([1.0, 0.0])])
+    payload = extend(seq, CircleMeasure.haar(), 2).to_payload()
+    del payload["metadata"]
+    assert any("coeff" in rec for rec in payload["blocks"])
+    with pytest.raises(SchemaError, match="unknown keys in block"):
+        FockOperator.from_payload(payload)
+
+
+# One valid payload per decoder; each must reject a non-object, every
+# missing required key and an unknown key.
+STATE = {"n": 1, "K": 0, "blocks": [{"i": 0, "j": 0, "entries": [[1.0, 0.0]]}]}
+SEQUENCE = {"n": 1, "prefix": [], "cycle": [[[1.0, 0.0]]]}
+MEASURE = {"haar_weight": 1.0, "atoms": []}
+DECODERS = {
+    "operator": (FockOperator.from_payload, lambda p: p, STATE),
+    "state": (StateHandle.from_payload, lambda p: p, STATE),
+    "metadata": (StateHandle.from_payload, lambda p: {**STATE, "metadata": p},
+                 {"exact_horizon": 0}),
+    "sequence": (UnitVectorSequence.from_payload, lambda p: p, SEQUENCE),
+    "measure": (CircleMeasure.from_payload, lambda p: p, MEASURE),
+    "atom": (CircleMeasure.from_payload,
+             lambda p: {"haar_weight": 0.0, "atoms": [p]},
+             {"angle": 0.5, "weight": 1.0}),
+    "block": (StateHandle.from_payload,
+              lambda p: {"n": 1, "K": 0, "blocks": [p]}, STATE["blocks"][0]),
+    "request": (parse_extension_request, lambda p: p,
+                {"sequence": SEQUENCE, "measure": MEASURE, "depth": 1}),
+}
+REQUIRED = {"metadata": ()}
+
+
+def malformed(name):
+    _, _, good = DECODERS[name]
+    yield "list", [good]
+    yield "unknown key", {**good, "extra": 1}
+    for key in REQUIRED.get(name, good):
+        yield f"no {key}", {k: v for k, v in good.items() if k != key}
+
+
+@pytest.mark.parametrize("name", DECODERS)
+def test_decoder_accepts_its_valid_payload(name):
+    decode, wrap, good = DECODERS[name]
+    decode(json.loads(json.dumps(wrap(good))))
+
+
+@pytest.mark.parametrize("name, label, payload", [
+    (name, label, payload) for name in DECODERS for label, payload in malformed(name)
+])
+def test_decoder_rejects_malformed_objects(name, label, payload):
+    decode, wrap, _ = DECODERS[name]
+    with pytest.raises(SchemaError):
+        decode(wrap(payload))
+
+
+@pytest.mark.parametrize("decode, payload", [
+    (FockOperator.from_payload, {**STATE, "n": True}),
+    (FockOperator.from_payload, {**STATE, "K": -1}),
+    (UnitVectorSequence.from_payload, {**SEQUENCE, "n": 0}),
+    (UnitVectorSequence.from_payload, {**SEQUENCE, "n": 1.0}),
+    (parse_extension_request,
+     {"sequence": SEQUENCE, "measure": MEASURE, "depth": False}),
+], ids=["n-bool", "K-negative", "n-zero", "n-float", "depth-bool"])
+def test_integers_reject_booleans_and_low_values(decode, payload):
+    with pytest.raises(SchemaError, match="integer"):
+        decode(payload)

@@ -6,8 +6,10 @@ point are covered as shipped.
 """
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -209,6 +211,57 @@ class TestRejectsBadNumbers:
         assert main(["check", self.state(tmp_path, text), "--what", "positivity"]) == 2
 
 
+class TestExactHorizon:
+    """``exact_horizon`` must be an integer in 0..K; otherwise the checks
+    would run on fewer corners than the file holds."""
+
+    # n=1, K=1: the matrix [[1, 2], [2, 1]], which is not positive.
+    NOT_PSD = {"n": 1, "K": 1, "blocks": [
+        {"i": i, "j": j, "entries": [[1.0 if i == j else 2.0, 0.0]]}
+        for i in (0, 1) for j in (0, 1)]}
+
+    def state(self, tmp_path, metadata):
+        return write_json(tmp_path / "state.json", {**self.NOT_PSD, "metadata": metadata})
+
+    def test_full_horizon_fails_positivity(self, tmp_path):
+        state = self.state(tmp_path, {"exact_horizon": 1})
+        assert main(["check", state, "--what", "positivity"]) == 1
+
+    @pytest.mark.parametrize("horizon", [-1, True, 2, 1.0])
+    def test_bad_horizon_is_input_error(self, tmp_path, capsys, horizon):
+        state = self.state(tmp_path, {"exact_horizon": horizon})
+        assert main(["check", state, "--what", "positivity"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "exact_horizon" in captured.err
+
+
+class TestTolerance:
+    """``--tolerance`` takes finite values >= 0 only; an infinite one would
+    pass any state."""
+
+    @pytest.mark.parametrize("value", ["inf", "nan", "-1e-3", "abc"])
+    @pytest.mark.parametrize("command", [
+        ["check", "--what", "positivity"],
+        ["check", "--what", "essential"],
+        ["decompose", "--out-prefix", "parts"],
+    ], ids=["positivity", "essential", "decompose"])
+    def test_bad_tolerance_is_input_error(self, tmp_path, monkeypatch, capsys,
+                                          command, value):
+        monkeypatch.chdir(tmp_path)
+        argv = [command[0], bad_corner_file(tmp_path), *command[1:],
+                f"--tolerance={value}"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "--tolerance" in capsys.readouterr().err
+        assert not list(tmp_path.glob("parts.*"))
+
+    def test_zero_tolerance_is_accepted(self, tmp_path):
+        state = vacuum_file(tmp_path)
+        assert main(["check", state, "--what", "singular", "--tolerance", "0"]) == 0
+
+
 class TestDeepSupport:
     def test_deep_vacuum_checks_quickly(self, tmp_path, capsys):
         state = vacuum_file(tmp_path, depth=40)
@@ -402,10 +455,13 @@ class TestDecompose:
 
 class TestDeterminism:
     def cli(self, *args):
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         return subprocess.run(
             [sys.executable, "-m", "fockstate.cli", *args],
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": path},
         )
 
     def test_extend_reruns_byte_identical(self, tmp_path):

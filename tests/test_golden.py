@@ -1,0 +1,184 @@
+"""Byte-identity of the command line on a fixed golden set.
+
+Four inputs run through every subcommand via ``cli.main``: the vector
+state from the README, a depth-3 vacuum, an n=2 period-2 extension built by
+``extend`` from a mixed Haar+atom measure, and a dense mixture of that
+extension with a vector state.  Each run is pinned by its exit code, the
+SHA-256 of its stdout and the SHA-256 of every file it writes, so any change
+to a printed digit, a key or the file layout shows up here.  The expected
+values were recorded from the command line as it stood before the block
+core of ``fock.py`` was shared between operators and states.
+
+Runs happen inside the test's temporary directory with relative paths,
+because ``extend`` and ``decompose`` print the paths they wrote.
+"""
+
+import hashlib
+import json
+
+import numpy as np
+
+from fockstate.cli import main
+from fockstate.density import BlockOperatorMatrix, StateHandle, fock_vector_state
+from fockstate.fock import FockContext
+from fockstate.measures import CircleMeasure
+from fockstate.product_states import UnitVectorSequence, extend, rephase
+
+README_STATE = {
+    "n": 2,
+    "K": 2,
+    "blocks": [
+        {"i": 0, "j": 0, "entries": [[1.0, 0.0]]},
+        {"i": 1, "j": 0, "entries": [[0.5, 0.0], [0.0, 0.0]]},
+        {"i": 1, "j": 1, "entries": [[0.5, 0.0], [0.0, 0.0],
+                                     [0.0, 0.0], [0.0, 0.0]]},
+    ],
+    "metadata": {"exact_horizon": 2, "classification": "singular",
+                 "trace_profile": [1.0, 0.5, 0.0]},
+}
+
+VACUUM_STATE = {"n": 2, "K": 3,
+                "blocks": [{"i": 0, "j": 0, "entries": [[1.0, 0.0]]}]}
+
+# Period 2 with a one-vector prefix; the cycle is not yet rephased.
+SEQUENCE = {
+    "n": 2,
+    "prefix": [[[0.6, 0.0], [0.0, 0.8]]],
+    "cycle": [[[0.0, 0.6], [0.8, 0.0]], [[1.0, 0.0], [0.0, 0.0]]],
+}
+
+MEASURE = {"haar_weight": 0.5,
+           "atoms": [{"angle": 0.7, "weight": 0.3},
+                     {"angle": 2.9, "weight": 0.2}]}
+
+EXPRESSIONS = ("1", "v1 v2*", "(0.5+0.5i) v[1,2] v1* + 0.25", "v[1,2,1,2,1,2]")
+
+
+def write_json(path, payload):
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    return path.name
+
+
+def dense_mixture():
+    """Half the depth-5 extension, half a vector state on levels 0..2,
+    every block dense."""
+    ctx = FockContext(2, 5)
+    seq = UnitVectorSequence.from_payload(SEQUENCE)
+    ext = extend(rephase(seq), CircleMeasure.from_payload(MEASURE), 5).matrix
+    ext = BlockOperatorMatrix(ctx, {key: ext.block(*key) for key in ext.blocks})
+    phi = [np.array([0.5]), np.array([0.5j, -0.25]),
+           np.array([0.25, 0.0, 0.5, -0.5j])]
+    mix = 0.5 * ext + 0.5 * fock_vector_state(ctx, phi)
+    return StateHandle(mix, None).to_payload()
+
+
+def sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def run(argv, capsys, tmp_path, outputs=()):
+    """Exit code, stdout digest and written-file digests of one command."""
+    code = main(argv)
+    out = capsys.readouterr().out
+    files = {name: sha((tmp_path / name).read_bytes())
+             for name in outputs if (tmp_path / name).exists()}
+    return code, sha(out.encode()), files, out
+
+
+def state_runs(state):
+    """Every subcommand on one state file: (label, argv, written files)."""
+    runs = [(f"check-{what}", ["check", state, "--what", what], ())
+            for what in ("positivity", "decreasing", "essential", "singular")]
+    stem = state.removesuffix(".json")
+    runs.append(("decompose", ["decompose", state, "--out-prefix", stem],
+                 tuple(f"{stem}.{part}" for part in
+                       ("essential.json", "singular.json", "profile.csv"))))
+    runs += [(f"eval-{k}", ["eval", state, expr], ())
+             for k, expr in enumerate(EXPRESSIONS)]
+    return runs
+
+
+def golden_runs(tmp_path, capsys):
+    """Run the golden set; returns {label: (code, stdout sha, file shas)}
+    plus the stdout of each run for failure messages."""
+    seq = write_json(tmp_path / "seq.json", SEQUENCE)
+    measure = write_json(tmp_path / "measure.json", MEASURE)
+    plan = [("extend", ["extend", seq, measure, "--depth", "5",
+                        "--out", "ext.json"], ("ext.json",))]
+    for name, payload in (("readme", README_STATE), ("vacuum", VACUUM_STATE),
+                          ("mixture", dense_mixture())):
+        write_json(tmp_path / f"{name}.json", payload)
+    for name in ("readme", "vacuum", "ext", "mixture"):
+        plan += [(f"{name}:{label}", argv, outputs)
+                 for label, argv, outputs in state_runs(f"{name}.json")]
+    results, stdouts = {}, {}
+    for label, argv, outputs in plan:
+        code, out_sha, files, out = run(argv, capsys, tmp_path, outputs)
+        results[label] = (code, out_sha, files)
+        stdouts[label] = out
+    results["mixture:input"] = sha((tmp_path / "mixture.json").read_bytes())
+    return results, stdouts
+
+
+GOLDEN = {
+    'extend': (0, 'a02e20a0f89a99ae1e0a0663ae9e8587e11b40671a565240b8b68e4bbfccac8f', {
+        'ext.json': '1f32144390335851b4e97369a391ca9ca8c007d1f9c78836144853621549ee78',
+    }),
+    'readme:check-positivity': (0, '47b94c7cb4a23b5acb50a5a9499ec8f9ec39ac7feff4cd972cfc431bec26456b', {}),
+    'readme:check-decreasing': (0, 'e3dcdcdba3c99278e750ceac957cc3c20e471becee683660b84986e1757d2af0', {}),
+    'readme:check-essential': (1, '05b5d606970d8513e05968a479872d9343de91ddcadfcb9e770f351cc3c61742', {}),
+    'readme:check-singular': (0, '6c95462573cc23a360b3e9a0a537895cdc2d1c0b6b7d30b0adf927cc6fa8235f', {}),
+    'readme:decompose': (4, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', {}),
+    'readme:eval-0': (0, 'f4a8ae8e74ddfb896a256de4e3099911dcaa6a9302591713898069b0bcd6e3d7', {}),
+    'readme:eval-1': (0, '0ccdb5a77ba5bf7687f2565a8ed97dfb9c1af45503c496fb646312239fab5101', {}),
+    'readme:eval-2': (0, 'b7dcf3206aee4749d030f1b5ce273d26975dffb8caef70074273afe5a36e5638', {}),
+    'readme:eval-3': (3, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', {}),
+    'vacuum:check-positivity': (0, '85e6c57e6ab0168a49e2290f1ceec60febd0481d1e30468ffaea8e919e962967', {}),
+    'vacuum:check-decreasing': (0, '4660ebb7762675d3f1a7d2d387a21ccbe08537f58b9d3a3dd1a65cb7213fec51', {}),
+    'vacuum:check-essential': (1, '5b33b605f2abd2306daf9176405a5c560c675cb9c31517a8736e5fb9b4b6d2cc', {}),
+    'vacuum:check-singular': (0, 'eb6a201f306286b7d6f00753235bbb31c16d54d83a252624159e584bed8242d9', {}),
+    'vacuum:decompose': (0, 'c2db3a8e35d3089d58716331f86cb3f3340ffa8a30c3b23ce0206f27dd29b67b', {
+        'vacuum.essential.json': '9bde7dd8f80b7188c3c4fe4849fe6daef68819ee6d9cc9aeece1a4a504ab2b1b',
+        'vacuum.singular.json': '81e6fdc45f9ecf0f98e95109efa1a5785215a2d52fcc44347b767abcdb3bcb0d',
+        'vacuum.profile.csv': '44bcabd6ab5349d60e9a5cc5e85491d091b12b634adc3bf8dd578f344fba9a4d',
+    }),
+    'vacuum:eval-0': (0, 'f4a8ae8e74ddfb896a256de4e3099911dcaa6a9302591713898069b0bcd6e3d7', {}),
+    'vacuum:eval-1': (0, '0ccdb5a77ba5bf7687f2565a8ed97dfb9c1af45503c496fb646312239fab5101', {}),
+    'vacuum:eval-2': (0, 'b7dcf3206aee4749d030f1b5ce273d26975dffb8caef70074273afe5a36e5638', {}),
+    'vacuum:eval-3': (3, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', {}),
+    'ext:check-positivity': (0, 'c0ea0a7426d4c606396ae166e05363a196922a2bc47573ee9e8e2344b25b6e7c', {}),
+    'ext:check-decreasing': (0, 'ff9ab545a97a0e7cb85f9aa320adbbccf8ed4e7b3c546f10b359959773bb2936', {}),
+    'ext:check-essential': (0, 'b4c3421d298ff085f1002c338fa03b95bfaef5b0d745eca7df0991162ac378c2', {}),
+    'ext:check-singular': (1, '19952e4da946ab3e94dbb03a21a018565fabac6a4ebba9234b9cebbd3f1d611b', {}),
+    'ext:decompose': (0, '5771379855d12c348862fb341f41dcf56b2ea2a42d5c2296909542cda22c6e30', {
+        'ext.essential.json': '9d6098787f2af7ced7b11d2a6faccac82bf22932aca4b22746dc4ab49ce10d39',
+        'ext.singular.json': 'e820861fdc8cfe9564c4f306ba0549f2e7b8ad765e8039cc11a2f2fde3adfeb8',
+        'ext.profile.csv': '172417c02fb85a2b7e899d828527f7df15be131cd6b49478f9c2ec04d44005d2',
+    }),
+    'ext:eval-0': (0, 'f4a8ae8e74ddfb896a256de4e3099911dcaa6a9302591713898069b0bcd6e3d7', {}),
+    'ext:eval-1': (0, 'ebb9ce382857f661cee1bb0264844109fe1e432f1c3498d298d7c1404ac8cd15', {}),
+    'ext:eval-2': (0, 'b7dcf3206aee4749d030f1b5ce273d26975dffb8caef70074273afe5a36e5638', {}),
+    'ext:eval-3': (3, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', {}),
+    'mixture:check-positivity': (0, '34f7c282c3f9b009e4d738bfbb2ae1293e3b74738612f5453e78a8bf65c4b3fd', {}),
+    'mixture:check-decreasing': (0, '38966bed648ce9a6b47d1426eb90319f9a37e8958ae76fb868d0270f252680f9', {}),
+    'mixture:check-essential': (1, 'be5499655c4353833bde2fa6c48f69c1cb1d9e4e967abad0a1aa3a4ea467f0c6', {}),
+    'mixture:check-singular': (1, '5d337604d169c81716a592679a7b4ae1786e04576b999a741059dba42e938a7d', {}),
+    'mixture:decompose': (0, 'ec503af29818c1c0645edee2ba6d3589cfce8bec51c7aee3bfd1625541bf3553', {
+        'mixture.essential.json': '158ab0d6fd720cb1965043084f440f6288f6498e560707cbd11464208cca4d9d',
+        'mixture.singular.json': '29946500bc9783bb431b4f926555929eb75979ab6bf92ca9078ad78eebcce592',
+        'mixture.profile.csv': '7a8913834d95d7c1a82ca044090727dafaf1864fff6cfa12ff8ad7f5f1cfe822',
+    }),
+    'mixture:eval-0': (0, 'f4a8ae8e74ddfb896a256de4e3099911dcaa6a9302591713898069b0bcd6e3d7', {}),
+    'mixture:eval-1': (0, '499c01edc1af72930f911486952eec49fc2654708f0d577b0e985e96b360ba08', {}),
+    'mixture:eval-2': (0, 'b7dcf3206aee4749d030f1b5ce273d26975dffb8caef70074273afe5a36e5638', {}),
+    'mixture:eval-3': (3, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', {}),
+    'mixture:input': '576b59b4f2d06298ade025b188fb30af6e2eb2ea5bba19807078386bfd4eb877',
+}
+
+
+def test_golden_set_is_byte_identical(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    results, stdouts = golden_runs(tmp_path, capsys)
+    assert set(results) == set(GOLDEN)
+    for label, expected in GOLDEN.items():
+        assert results[label] == expected, (label, stdouts.get(label))

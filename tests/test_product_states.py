@@ -14,11 +14,7 @@ from conftest import SEED
 from helpers import random_sequence, random_unit_vector, random_word
 
 from fockstate.density import Rank1Block, StateHandle, classify
-from fockstate.errors import (
-    AperiodicSequenceError,
-    HorizonError,
-    SchemaError,
-)
+from fockstate.errors import HorizonError, SchemaError
 from fockstate.measures import CircleMeasure, fourier
 from fockstate.product_states import (
     ExtensionCoefficients,
@@ -219,13 +215,6 @@ class TestRephase:
         b = product_state(rephase(seq), 4).matrix
         assert a.max_abs_diff(b) <= 1e-12
 
-    def test_aperiodic_raises(self, monkeypatch):
-        import fockstate.product_states as mod
-
-        monkeypatch.setattr(mod, "period", lambda s, tol=1e-12: None)
-        with pytest.raises(AperiodicSequenceError):
-            mod.rephase(constant_sequence(2))
-
     def test_idempotent(self):
         rng = np.random.default_rng(SEED + 24)
         seq = random_sequence(rng, 2, 2, 2)
@@ -364,7 +353,6 @@ class TestCoefficients:
                     tail *= raw_overlap(seq, l + i, k + i)
                 expected = fourier(measure, (k - l) // 2) * tail
                 assert coeffs.value(k, l) == pytest.approx(expected, abs=1e-12)
-                assert coeffs.tail(k, l) == pytest.approx(tail, abs=1e-12)
 
 
 class TestExtend:
@@ -404,7 +392,6 @@ class TestExtend:
         measure = CircleMeasure.from_atoms([(0.2, 0.5)], haar_weight=0.5)
         handle = extend(seq, measure, 4)
         assert handle.classification == "essential"
-        assert not handle.unique_extension
         state = handle.matrix
         assert state.is_positive().ok
         assert state.is_decreasing().ok
@@ -429,15 +416,6 @@ class TestExtend:
                 seq, m2, 4
             ).matrix
             assert mixed.max_abs_diff(combo) <= 1e-12
-
-    def test_aperiodic_falls_back_to_product_state(self, monkeypatch):
-        import fockstate.product_states as mod
-
-        monkeypatch.setattr(mod, "period", lambda s, tol=1e-12: None)
-        seq = constant_sequence(2)
-        handle = mod.extend(seq, CircleMeasure.point_mass(1.0), 4)
-        assert handle.unique_extension
-        assert handle.matrix.max_abs_diff(product_state(seq, 4).matrix) == 0.0
 
     def test_rank_one_blocks_survive_payload_round_trip(self):
         rng = np.random.default_rng(SEED + 56)
