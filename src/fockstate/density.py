@@ -37,7 +37,13 @@ elementary tensors of an extension are, so :meth:`BlockOperatorMatrix.sliced`,
 also survives the JSON codec, which writes a rank-one block as its
 coefficient and factors.  ``+`` and ``-`` keep a block
 as it is when only one operand holds it, so a mixture keeps the rank-one
-blocks of its extension part; blocks held by both operands are summed dense.
+blocks of its extension part, and sum two rank-one blocks with parallel
+factors to one rank-one block on the first operand's factors.  Block (i, j)
+of an extension and of its slice are multiples of the same outer product, so
+``restricted() - sliced()`` in :meth:`BlockOperatorMatrix.is_decreasing` and
+the singular part of :func:`decompose` stay rank-one, and the comparisons
+behind :func:`classify` and :func:`decompose` measure such a difference from
+its factors; any other pair of blocks held by both operands is summed dense.
 The corner positivity checks diagonalize each corner on the span of its
 stored blocks: a level without blocks adds no rows, a level holding only
 rank-one blocks adds at most one row per distinct factor, and any other
@@ -60,7 +66,6 @@ from .fock import (
     _block_trace,
     _blocks_from_payload,
     _conj_transpose,
-    _dense,
     _entry,
     _fields,
     _integer,
@@ -269,20 +274,11 @@ class BlockOperatorMatrix(BlockMatrix):
         return self._max_diff(other, lambda i, j: max(i, j) <= level_limit)
 
     def is_hermitian(self, tol: float = HERMITIAN_TOL) -> bool:
-        for (i, j), blk in self.blocks.items():
-            mirror = self.blocks.get((j, i))
-            if (isinstance(blk, Rank1Block) and isinstance(mirror, Rank1Block)
-                    and np.array_equal(blk.left, mirror.right)
-                    and np.array_equal(blk.right, mirror.left)):
-                # Mirrored factors: the gap is (coeff - conj(mirror coeff))
-                # times the outer product, largest at its largest entries.
-                gap = (abs(blk.coeff - np.conj(mirror.coeff))
-                       * np.abs(blk.left).max() * np.abs(blk.right).max())
-            else:
-                gap = np.abs(_dense(blk) - self.block(j, i).conj().T).max()
-            if gap > tol:
-                return False
-        return True
+        """Every block within tol of the conjugate transpose of its mirror;
+        mirrored rank-one blocks are compared from their factors."""
+        mirrored = BlockMatrix(self.ctx, {(j, i): _conj_transpose(blk)
+                                          for (i, j), blk in self.blocks.items()})
+        return self._max_diff(mirrored, lambda i, j: True) <= tol
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -535,6 +531,13 @@ class StateHandle:
     classification: str | None = None
 
     def to_payload(self) -> dict:
+        """JSON-ready state file.  Raises ValueError for a horizon below 0
+        (such as the slice of a K=0 state): no level of it is meaningful,
+        and ``exact_horizon`` must lie in 0..K to load again."""
+        if self.matrix.horizon < 0:
+            raise ValueError(
+                f"horizon {self.matrix.horizon} is below 0: no level is meaningful"
+            )
         payload = self.matrix.to_payload()
         payload["metadata"] = {
             "exact_horizon": self.matrix.horizon,

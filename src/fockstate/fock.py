@@ -49,6 +49,9 @@ from .word_algebra import AlgebraElement
 # reproduces it within this many ulps of its largest entry.
 SPLIT_ULPS = 8
 
+# The largest array index numpy can address.
+_MAX_INDEX = int(np.iinfo(np.intp).max)
+
 __all__ = [
     "FockContext",
     "Rank1Block",
@@ -78,6 +81,13 @@ class FockContext:
             raise ValueError(f"alphabet size must be >= 1, got {n}")
         if depth < 0:
             raise ValueError(f"truncation depth must be >= 0, got {depth}")
+        # Level K needs n**K addressable rows.  n**K >= 2**K for n >= 2, so a
+        # depth of 64 or more is rejected before any power is taken.
+        if n >= 2 and (depth >= 64 or n**depth > _MAX_INDEX):
+            raise SchemaError(
+                f"depth K = {depth} is too large for n = {n}: level K would "
+                f"have n**K > {_MAX_INDEX} rows"
+            )
         self.n = n
         self.depth = depth
         self.level_dims = tuple(n**k for k in range(depth + 1))
@@ -188,6 +198,42 @@ def _split_last(vec: np.ndarray, n: int):
     return a, b
 
 
+def _ratio(u: np.ndarray, v: np.ndarray):
+    """alpha with v = alpha * u within SPLIT_ULPS ulps of v's largest entry,
+    or None.  alpha is read at u's largest entry; the same array gives 1."""
+    if u is v:
+        return 1.0
+    k = int(np.argmax(np.abs(u)))
+    if u[k] == 0:
+        return None
+    alpha = v[k] / u[k]
+    gap = np.abs(v - alpha * u).max()
+    if not gap <= SPLIT_ULPS * np.finfo(float).eps * np.abs(v).max():
+        return None
+    return alpha
+
+
+def _block_sum(a, b):
+    """a + b.  Two rank-one blocks with parallel factors (see :func:`_ratio`)
+    sum to one :class:`Rank1Block` on a's factors, so factors shared by a's
+    blocks stay shared; every other pair sums dense."""
+    if isinstance(a, Rank1Block) and isinstance(b, Rank1Block):
+        alpha = _ratio(a.left, b.left)
+        beta = None if alpha is None else _ratio(a.right, b.right)
+        if beta is not None:
+            return Rank1Block(a.coeff + b.coeff * alpha * np.conj(beta),
+                              a.left, a.right)
+    return _dense(a) + _dense(b)
+
+
+def _block_max(block) -> float:
+    """Largest entry modulus; |coeff| max|left| max|right| for a rank-one block."""
+    if isinstance(block, Rank1Block):
+        return float(abs(block.coeff) * np.abs(block.left).max()
+                     * np.abs(block.right).max())
+    return float(np.abs(block).max())
+
+
 def _dense(block) -> np.ndarray:
     return block.dense() if isinstance(block, Rank1Block) else block
 
@@ -289,27 +335,41 @@ class BlockMatrix:
         worst = 0.0
         for (i, j), blk in self.blocks.items():
             if level_limit is None or max(i, j) <= level_limit:
-                worst = max(worst, float(np.abs(_dense(blk)).max()))
+                worst = max(worst, _block_max(blk))
         return worst
 
     def _max_diff(self, other: "BlockMatrix", keep) -> float:
-        """Largest entry of self - other over the blocks (i, j) with keep(i, j)."""
+        """Largest entry of self - other over the blocks (i, j) with keep(i, j).
+
+        Two dense blocks are compared by one subtraction; a block only one
+        operand holds, or a difference of parallel rank-one blocks, is
+        measured without densifying it."""
         self._require_same_context(other)
         worst = 0.0
         for key in set(self.blocks) | set(other.blocks):
-            if keep(*key):
-                d = np.abs(self.block(*key) - other.block(*key)).max()
-                worst = max(worst, float(d))
+            if not keep(*key):
+                continue
+            mine, theirs = self.blocks.get(key), other.blocks.get(key)
+            if mine is None or theirs is None:
+                d = _block_max(theirs if mine is None else mine)
+            elif isinstance(mine, np.ndarray) and isinstance(theirs, np.ndarray):
+                d = float(np.abs(mine - theirs).max())
+            else:
+                d = _block_max(_block_sum(mine, _scaled(theirs, -1.0)))
+            worst = max(worst, d)
         return worst
 
     def _sum_blocks(self, other: "BlockMatrix") -> dict:
         """Blocks of self + other.  A block only one operand holds is kept
-        as it is, so rank-one blocks stay rank-one; the rest sum dense."""
+        as it is, and two rank-one blocks with parallel factors sum to one
+        rank-one block (:func:`_block_sum`), so the rank-one blocks of an
+        extension stay rank-one through sums and differences; every other
+        pair sums dense."""
         self._require_same_context(other)
         acc = dict(self.blocks)
         for key, blk in other.blocks.items():
             mine = acc.get(key)
-            acc[key] = blk if mine is None else _dense(mine) + _dense(blk)
+            acc[key] = blk if mine is None else _block_sum(mine, blk)
         return acc
 
     def _scaled_blocks(self, scalar) -> dict:

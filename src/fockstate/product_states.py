@@ -283,9 +283,9 @@ def extend(seq: UnitVectorSequence, measure: CircleMeasure, depth: int) -> State
     state restricts to the product state on the diagonal and is
     invariant under slicing by the coefficient recursion.
     """
+    ctx = FockContext(seq.n, depth)
     p = period(seq)
     coeffs = extension_coefficients(seq, p, measure, depth)
-    ctx = FockContext(seq.n, depth)
     tensors = elementary_tensors(seq, depth)
     blocks = {}
     for i in range(depth + 1):
@@ -360,4 +360,6 @@ def parse_extension_request(payload: dict):
         payload, ("sequence", "measure", "depth"), "extension request")
     seq = UnitVectorSequence.from_payload(sequence)
     measure = CircleMeasure.from_payload(measure)
-    return seq, measure, _integer(depth, 0, "'depth'")
+    depth = _integer(depth, 0, "'depth'")
+    FockContext(seq.n, depth)  # rejects a depth whose top level is not addressable
+    return seq, measure, depth

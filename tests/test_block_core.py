@@ -135,3 +135,36 @@ def test_decoder_rejects_malformed_objects(name, label, payload):
 def test_integers_reject_booleans_and_low_values(decode, payload):
     with pytest.raises(SchemaError, match="integer"):
         decode(payload)
+
+
+@pytest.mark.parametrize("n, depth", [(2, 63), (2, 64), (2, 10**6), (3, 40)])
+def test_unaddressable_depth_is_rejected(n, depth):
+    with pytest.raises(SchemaError, match="too large"):
+        FockContext(n, depth)
+
+
+@pytest.mark.parametrize("n, depth", [(2, 40), (2, 62), (3, 39), (1, 1000)])
+def test_addressable_depth_is_accepted(n, depth):
+    assert FockContext(n, depth).dim(depth) == n**depth
+
+
+@pytest.mark.parametrize("decode, payload", [
+    (StateHandle.from_payload,
+     {"n": 2, "K": 64, "blocks": [{"i": 0, "j": 0, "entries": [[1.0, 0.0]]}]}),
+    (parse_extension_request,
+     {"sequence": {"n": 2, "prefix": [], "cycle": [[[1.0, 0.0], [0.0, 0.0]]]},
+      "measure": MEASURE, "depth": 64}),
+], ids=["state", "request"])
+def test_decoders_reject_unaddressable_depth(decode, payload):
+    with pytest.raises(SchemaError, match="too large"):
+        decode(payload)
+
+
+def test_state_with_negative_horizon_is_not_written():
+    """The slice of a K=0 state has horizon -1, which no file can hold."""
+    sliced = BlockOperatorMatrix.vacuum(FockContext(2, 0)).sliced()
+    assert sliced.horizon == -1
+    with pytest.raises(ValueError, match="horizon -1"):
+        StateHandle(sliced).to_payload()
+    handle = StateHandle(BlockOperatorMatrix.vacuum(FockContext(2, 0)))
+    assert StateHandle.from_payload(handle.to_payload()).matrix.horizon == 0

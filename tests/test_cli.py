@@ -271,6 +271,33 @@ class TestDeepSupport:
         assert main(["check", state, "--what", "decreasing"]) == 0
 
 
+class TestDepthBound:
+    """At n >= 2 a depth whose top level has more than np.intp max rows is
+    input error, caught before any level is built."""
+
+    def test_too_deep_state_file_is_input_error(self, tmp_path, capsys):
+        state = write_json(tmp_path / "deep.json", {
+            "n": 2, "K": 64, "blocks": [{"i": 0, "j": 0, "entries": [[1.0, 0.0]]}]})
+        assert main(["eval", state, "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "too large" in captured.err
+
+    def test_too_deep_extend_is_input_error(self, tmp_path, capsys):
+        seq_path, _ = sequence_file(tmp_path, np.random.default_rng(SEED + 260))
+        m_path = measure_file(tmp_path, CircleMeasure.haar())
+        out = tmp_path / "o.json"
+        code = main(["extend", seq_path, m_path, "--depth", "64", "--out", str(out)])
+        assert code == 2
+        assert "too large" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_deep_vacuum_still_loads(self, tmp_path, capsys):
+        state = vacuum_file(tmp_path, depth=40)
+        assert main(["eval", state, "1"]) == 0
+        assert capsys.readouterr().out == "1 0\n"
+
+
 class TestExtend:
     def run_extend(self, tmp_path, capsys, measure, depth=5):
         rng = np.random.default_rng(SEED + 200)
