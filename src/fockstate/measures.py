@@ -218,9 +218,7 @@ def herglotz_check(moments: MomentSequence,
     """
     if moments.window < 1:
         raise ValueError("need a window of size at least 1")
-    t = moments.toeplitz()
-    t = 0.5 * (t + t.conj().T)
-    eigs = np.linalg.eigvalsh(t)
+    eigs = np.linalg.eigvalsh(moments.toeplitz())
     return HerglotzResult(bool(eigs[0] >= -tol), float(eigs[0]))
 
 
@@ -237,9 +235,7 @@ def atomic_from_moments(moments: MomentSequence) -> CircleMeasure:
     window = moments.window
     if window < 1:
         raise InsufficientMomentsError("insufficient moments: window too small")
-    t = moments.toeplitz()
-    t = 0.5 * (t + t.conj().T)
-    eigs = np.linalg.eigvalsh(t)
+    eigs = np.linalg.eigvalsh(moments.toeplitz())
     threshold = MOMENT_MATCH_TOL * max(1.0, float(eigs[-1]))
     rank = int(np.sum(eigs > threshold))
     if rank == 0:

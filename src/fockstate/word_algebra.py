@@ -11,7 +11,11 @@ relation needed to reduce products is
     v_j^* v_i = (1 if i == j else 0),
 
 so multiplication of two monomials either concatenates words (when one right
-word is a prefix of the other left word) or collapses to zero.  Everything in
+word is a prefix of the other left word) or collapses to zero.  A monomial
+has one format throughout: the key ``(mu, nu)`` of letter tuples in an
+element's term dict, mapped to its coefficient.  Expression text is split by
+one regular-expression token table and parsed by recursive descent; the
+printed form of an element parses back to the same element.  Everything in
 this module is exact symbolic bookkeeping; numerical evaluation against a
 concrete representation lives in :mod:`fockstate.fock`.
 
@@ -22,8 +26,9 @@ normalization, which keeps the reduced form canonical.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Iterator, Mapping
+from typing import Mapping
+
+import numpy as np
 
 from .errors import (
     AlphabetMismatchError,
@@ -33,6 +38,7 @@ from .errors import (
 
 COEFF_PRUNE = 1e-14
 UNIMODULAR_TOL = 1e-12
+MAX_PAREN_DEPTH = 100
 
 Letters = tuple[int, ...]
 TermKey = tuple[Letters, Letters]
@@ -40,11 +46,8 @@ TermKey = tuple[Letters, Letters]
 __all__ = [
     "COEFF_PRUNE",
     "UNIMODULAR_TOL",
-    "Word",
-    "Monomial",
+    "MAX_PAREN_DEPTH",
     "AlgebraElement",
-    "monomial_mul",
-    "adjoint",
     "gauge_apply",
     "conditional_expectation",
     "parse_expression",
@@ -57,84 +60,19 @@ def _check_letters(letters: Letters, n: int) -> None:
             raise LetterRangeError(f"letter {letter} outside 1..{n}")
 
 
-@dataclass(frozen=True)
-class Word:
-    """Finite word over the alphabet {1, ..., n}; the empty word is allowed."""
-
-    letters: Letters
-    n: int
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"alphabet size must be >= 1, got {self.n}")
-        if not isinstance(self.letters, tuple):
-            object.__setattr__(self, "letters", tuple(self.letters))
-        _check_letters(self.letters, self.n)
-
-    def __len__(self) -> int:
-        return len(self.letters)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.letters)
-
-    def concat(self, other: "Word") -> "Word":
-        if self.n != other.n:
-            raise AlphabetMismatchError(
-                f"cannot concatenate words over alphabets of size {self.n} and {other.n}"
-            )
-        return Word(self.letters + other.letters, self.n)
-
-    __add__ = concat
-
-    def __str__(self) -> str:
-        if not self.letters:
-            return "e"
-        return "(" + ",".join(str(x) for x in self.letters) + ")"
-
-
-@dataclass(frozen=True)
-class Monomial:
-    """Reduced monomial ``coeff * v_left v_right^*``."""
-
-    coeff: complex
-    left: Word
-    right: Word
-
-    def __post_init__(self):
-        if self.left.n != self.right.n:
-            raise AlphabetMismatchError("left and right words use different alphabets")
-        object.__setattr__(self, "coeff", complex(self.coeff))
-
-    @property
-    def n(self) -> int:
-        return self.left.n
-
-    def __mul__(self, other: "Monomial") -> "Monomial":
-        return monomial_mul(self, other)
-
-    def __str__(self) -> str:
-        return f"{self.coeff} * v{self.left} v{self.right}^*"
-
-
-def monomial_mul(x: Monomial, y: Monomial) -> Monomial:
-    """Product of reduced monomials, reduced again.
+def _reduce(x: TermKey, y: TermKey) -> TermKey | None:
+    """Key of the product of two monomials, or None when it vanishes.
 
     (v_mu v_nu^*)(v_alpha v_beta^*) is v_{mu.rest} v_beta^* when alpha extends
     nu, v_mu v_{beta.rest}^* when nu extends alpha, and zero otherwise.
     """
-    if x.n != y.n:
-        raise AlphabetMismatchError("cannot multiply monomials over different alphabets")
-    n = x.n
-    coeff = x.coeff * y.coeff
-    nu, alpha = x.right.letters, y.left.letters
+    (mu, nu), (alpha, beta) = x, y
     if alpha[: len(nu)] == nu:
         # alpha = nu . rest: ranges line up, left word grows by the rest.
-        rest = alpha[len(nu):]
-        return Monomial(coeff, Word(x.left.letters + rest, n), y.right)
+        return mu + alpha[len(nu):], beta
     if nu[: len(alpha)] == alpha:
-        rest = nu[len(alpha):]
-        return Monomial(coeff, x.left, Word(y.right.letters + rest, n))
-    return Monomial(0.0, Word((), n), Word((), n))
+        return mu, beta + nu[len(alpha):]
+    return None
 
 
 class AlgebraElement:
@@ -178,10 +116,6 @@ class AlgebraElement:
         """The isometry v_i as an element."""
         _check_letters((i,), n)
         return cls(n, {((i,), ()): 1.0})
-
-    @classmethod
-    def from_monomial(cls, m: Monomial) -> "AlgebraElement":
-        return cls(m.n, {(m.left.letters, m.right.letters): m.coeff})
 
     # -- views -------------------------------------------------------
 
@@ -229,21 +163,15 @@ class AlgebraElement:
     def __mul__(self, other) -> "AlgebraElement":
         if isinstance(other, (int, float, complex)):
             return self.__rmul__(other)
-        if isinstance(other, Monomial):
-            other = AlgebraElement.from_monomial(other)
         if not isinstance(other, AlgebraElement):
             return NotImplemented
         self._require_same_alphabet(other)
         acc: dict[TermKey, complex] = {}
-        for (lx, rx), cx in self._terms.items():
-            mx = Monomial(cx, Word(lx, self.n), Word(rx, self.n))
-            for (ly, ry), cy in other._terms.items():
-                my = Monomial(cy, Word(ly, self.n), Word(ry, self.n))
-                prod = monomial_mul(mx, my)
-                if prod.coeff == 0:
-                    continue
-                key = (prod.left.letters, prod.right.letters)
-                acc[key] = acc.get(key, 0.0) + prod.coeff
+        for kx, cx in self._terms.items():
+            for ky, cy in other._terms.items():
+                key = _reduce(kx, ky)
+                if key is not None:
+                    acc[key] = acc.get(key, 0.0) + cx * cy
         return AlgebraElement(self.n, acc)
 
     def adjoint(self) -> "AlgebraElement":
@@ -274,18 +202,17 @@ class AlgebraElement:
         return f"AlgebraElement(n={self.n}, {self._pretty()})"
 
     def _pretty(self) -> str:
+        """Expression text that :func:`parse_expression` reads back exactly."""
         if not self._terms:
             return "0"
-        parts = []
+        text = ""
         for (lt, rt), c in sorted(self._terms.items()):
-            frag = _format_coeff(c)
+            sign = " + "
+            if c.imag == 0 and c.real < 0:
+                sign, c = " - ", -c
             body = _format_word(lt) + (_format_word(rt) + "*" if rt else "")
-            if not lt and not rt:
-                body = "1"
-            elif not lt:
-                body = _format_word(rt) + "*"
-            parts.append((frag + " " + body).strip())
-        return " + ".join(parts)
+            text += sign + (_format_coeff(c) + " " + (body or "1")).strip()
+        return text[3:] if text.startswith(" + ") else "-" + text[3:]
 
 
 def _format_word(letters: Letters) -> str:
@@ -296,17 +223,18 @@ def _format_word(letters: Letters) -> str:
     return "v[" + ",".join(str(x) for x in letters) + "]"
 
 
+def _format_float(x: float) -> str:
+    # Shortest round-trip digits without an exponent, which the parser lacks.
+    return np.format_float_positional(x, unique=True, trim="-")
+
+
 def _format_coeff(c: complex) -> str:
     if c == 1:
         return ""
     if c.imag == 0:
-        return f"{c.real:g}"
-    return f"({c.real:g}{c.imag:+g}i)"
-
-
-def adjoint(x: AlgebraElement) -> AlgebraElement:
-    """Adjoint of an element: conjugate coefficients, swap word pairs."""
-    return x.adjoint()
+        return _format_float(c.real)
+    sign = "-" if c.imag < 0 else "+"
+    return f"({_format_float(c.real)}{sign}{_format_float(abs(c.imag))}i)"
 
 
 def gauge_apply(x: AlgebraElement, lam: complex) -> AlgebraElement:
@@ -353,129 +281,91 @@ def conditional_expectation(x: AlgebraElement) -> AlgebraElement:
 # ---------------------------------------------------------------------------
 
 _NUM = r"(?:\d+(?:\.\d*)?|\.\d+)"
-_COMPLEX_RE = re.compile(
-    r"\(\s*(?P<re>[+-]?" + _NUM + r")\s*(?P<sign>[+-])\s*(?P<im>" + _NUM + r")?\s*i\s*\)"
-)
-_IMAG_PAREN_RE = re.compile(r"\(\s*(?P<im>[+-]?" + _NUM + r")?\s*i\s*\)")
-_NUM_RE = re.compile(_NUM)
+# One alternative per token spelling, tried in order at each position; the
+# ``lastgroup`` of a match names it.  The alternatives named in
+# ``_LEX_ERRORS`` are malformed input, reported at the start of their group.
+_TOKEN_RE = re.compile(rf"""
+    (?P<space>\s+)
+  | (?P<complex>\(\s*(?P<re>[+-]?{_NUM})\s*(?P<isign>[+-])\s*(?P<im>{_NUM})?\s*i\s*\))
+  | (?P<paren_imag>\(\s*(?P<pim>[+-]?{_NUM})?\s*i\s*\))
+  | (?P<lparen>\()
+  | (?P<rparen>\))
+  | (?P<sign>[+-])
+  | (?P<star>\*)
+  | (?P<vword>v(?:\d+|\[\s*\d+(?:\s*,\s*\d+)*\s*\]))
+  | v(?P<bad_list>\[)
+  | (?P<bad_v>v)
+  | (?P<imag>(?P<imag_num>{_NUM})?i)
+  | (?P<one>1)(?![\d.])
+  | (?P<real>{_NUM})
+  | (?P<bad_char>.)
+""", re.VERBOSE | re.DOTALL)
+_LEX_ERRORS = {
+    "bad_list": "malformed letter list after 'v'",
+    "bad_v": "expected digits or '[' after 'v'",
+    "bad_char": "unexpected character {!r}",
+}
+
+Token = tuple[str, object, int]
 
 
-class _Token:
-    __slots__ = ("kind", "value", "pos")
+def _tokenize(text: str) -> list[Token]:
+    """Split ``text`` into ``(kind, value, position)`` tokens ending in ``end``.
 
-    def __init__(self, kind: str, value, pos: int):
-        self.kind = kind
-        self.value = value
-        self.pos = pos
-
-    def __repr__(self):
-        return f"_Token({self.kind}, {self.value!r}, {self.pos})"
-
-
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    i, size = 0, len(text)
-    while i < size:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
+    A bare ``1`` is the identity factor (kind ``one``); every other number
+    spelling is a ``coeff``.
+    """
+    tokens: list[Token] = []
+    for m in _TOKEN_RE.finditer(text):
+        kind, pos = m.lastgroup, m.start()
+        if kind in _LEX_ERRORS:
+            message = _LEX_ERRORS[kind].format(m[kind])
+            raise ExpressionSyntaxError(message, m.start(kind))
+        if kind == "space":
             continue
-        if ch == "(":
-            m = _COMPLEX_RE.match(text, i)
-            if m:
-                real = float(m.group("re"))
-                imag = float(m.group("im") or "1")
-                if m.group("sign") == "-":
-                    imag = -imag
-                tokens.append(_Token("coeff", complex(real, imag), i))
-                i = m.end()
-                continue
-            m = _IMAG_PAREN_RE.match(text, i)
-            if m:
-                raw = m.group("im")
-                if raw in (None, "+", "-"):
-                    imag = 1.0 if raw in (None, "+") else -1.0
-                else:
-                    imag = float(raw)
-                tokens.append(_Token("coeff", complex(0.0, imag), i))
-                i = m.end()
-                continue
-            tokens.append(_Token("lparen", "(", i))
-            i += 1
-            continue
-        if ch == ")":
-            tokens.append(_Token("rparen", ")", i))
-            i += 1
-            continue
-        if ch in "+-":
-            tokens.append(_Token("sign", ch, i))
-            i += 1
-            continue
-        if ch == "*":
-            tokens.append(_Token("star", "*", i))
-            i += 1
-            continue
-        if ch == "v":
-            j = i + 1
-            if j < size and text[j].isdigit():
-                m = re.compile(r"\d+").match(text, j)
-                tokens.append(_Token("vword", (int(m.group()),), i))
-                i = m.end()
-                continue
-            if j < size and text[j] == "[":
-                m = re.compile(r"\[\s*\d+(?:\s*,\s*\d+)*\s*\]").match(text, j)
-                if not m:
-                    raise ExpressionSyntaxError("malformed letter list after 'v'", j)
-                letters = tuple(int(s) for s in re.findall(r"\d+", m.group()))
-                tokens.append(_Token("vword", letters, i))
-                i = m.end()
-                continue
-            raise ExpressionSyntaxError("expected digits or '[' after 'v'", i)
-        m = _NUM_RE.match(text, i)
-        if m:
-            end = m.end()
-            if end < size and text[end] == "i":
-                tokens.append(_Token("coeff", complex(0.0, float(m.group())), i))
-                i = end + 1
-                continue
-            if m.group() == "1" and (end >= size or text[end] not in "0123456789.i"):
-                # Bare '1' is the identity factor, not a coefficient.
-                tokens.append(_Token("one", 1.0, i))
-                i = end
-                continue
-            tokens.append(_Token("coeff", complex(float(m.group()), 0.0), i))
-            i = end
-            continue
-        if ch == "i":
-            tokens.append(_Token("coeff", complex(0.0, 1.0), i))
-            i += 1
-            continue
-        raise ExpressionSyntaxError(f"unexpected character {ch!r}", i)
-    tokens.append(_Token("end", None, size))
+        if kind == "complex":
+            imag = float(m["im"] or "1")
+            imag = -imag if m["isign"] == "-" else imag
+            kind, value = "coeff", complex(float(m["re"]), imag)
+        elif kind == "paren_imag":
+            kind, value = "coeff", complex(0.0, float(m["pim"] or "1"))
+        elif kind == "imag":
+            kind, value = "coeff", complex(0.0, float(m["imag_num"] or "1"))
+        elif kind == "real":
+            kind, value = "coeff", complex(float(m["real"]), 0.0)
+        elif kind == "one":
+            value = 1.0
+        elif kind == "vword":
+            value = tuple(int(s) for s in re.findall(r"\d+", m[0]))
+        else:
+            value = m[0]
+        tokens.append((kind, value, pos))
+    tokens.append(("end", None, len(text)))
     return tokens
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token], n: int):
+    def __init__(self, tokens: list[Token], n: int):
         self.tokens = tokens
         self.k = 0
         self.n = n
+        self.depth = 0
 
-    def peek(self) -> _Token:
-        return self.tokens[self.k]
+    def peek(self) -> str:
+        return self.tokens[self.k][0]
 
-    def advance(self) -> _Token:
+    def advance(self) -> Token:
         tok = self.tokens[self.k]
         self.k += 1
         return tok
 
     def parse_element(self) -> AlgebraElement:
         sign = 1.0
-        if self.peek().kind == "sign":
-            sign = -1.0 if self.advance().value == "-" else 1.0
+        if self.peek() == "sign":
+            sign = -1.0 if self.advance()[1] == "-" else 1.0
         acc = sign * self.parse_term()
-        while self.peek().kind == "sign":
-            op = self.advance().value
+        while self.peek() == "sign":
+            op = self.advance()[1]
             nxt = self.parse_term()
             acc = acc + nxt if op == "+" else acc - nxt
         return acc
@@ -483,16 +373,15 @@ class _Parser:
     def parse_term(self) -> AlgebraElement:
         coeff = 1.0 + 0.0j
         have_coeff = False
-        if self.peek().kind == "coeff":
-            coeff = self.advance().value
+        if self.peek() == "coeff":
+            coeff = self.advance()[1]
             have_coeff = True
         factors: list[AlgebraElement] = []
-        while self.peek().kind in ("vword", "lparen", "one"):
+        while self.peek() in ("vword", "lparen", "one"):
             factors.append(self.parse_factor())
         if not factors:
             if not have_coeff:
-                tok = self.peek()
-                raise ExpressionSyntaxError("expected a factor", tok.pos)
+                raise ExpressionSyntaxError("expected a factor", self.tokens[self.k][2])
             return coeff * AlgebraElement.one(self.n)
         acc = coeff * factors[0]
         for f in factors[1:]:
@@ -500,30 +389,32 @@ class _Parser:
         return acc
 
     def parse_factor(self) -> AlgebraElement:
-        tok = self.advance()
-        if tok.kind == "one":
+        kind, value, pos = self.advance()
+        if kind == "one":
             return AlgebraElement.one(self.n)
-        if tok.kind == "vword":
-            for letter in tok.value:
+        if kind == "vword":
+            for letter in value:
                 if not 1 <= letter <= self.n:
                     raise LetterRangeError(
-                        f"letter {letter} outside 1..{self.n} (at position {tok.pos})"
+                        f"letter {letter} outside 1..{self.n} (at position {pos})"
                     )
-            elt = AlgebraElement(self.n, {(tok.value, ()): 1.0})
-            if self.peek().kind == "star":
-                self.advance()
-                elt = elt.adjoint()
-            return elt
-        if tok.kind == "lparen":
-            inner = self.parse_element()
-            closing = self.advance()
-            if closing.kind != "rparen":
-                raise ExpressionSyntaxError("expected ')'", closing.pos)
-            if self.peek().kind == "star":
-                self.advance()
-                inner = inner.adjoint()
-            return inner
-        raise ExpressionSyntaxError(f"unexpected token {tok.kind!r}", tok.pos)
+            elt = AlgebraElement(self.n, {(value, ()): 1.0})
+        else:
+            # An "lparen": parse_term calls here only on a factor's first token.
+            if self.depth == MAX_PAREN_DEPTH:
+                raise ExpressionSyntaxError(
+                    f"parentheses nested deeper than {MAX_PAREN_DEPTH} levels", pos
+                )
+            self.depth += 1
+            elt = self.parse_element()
+            self.depth -= 1
+            closing, _, end = self.advance()
+            if closing != "rparen":
+                raise ExpressionSyntaxError("expected ')'", end)
+        if self.peek() == "star":
+            self.advance()
+            elt = elt.adjoint()
+        return elt
 
 
 def parse_expression(text: str, n: int) -> AlgebraElement:
@@ -531,13 +422,13 @@ def parse_expression(text: str, n: int) -> AlgebraElement:
 
     Examples accepted: ``"v1 v2*"``, ``"(1+2i) v1 + v2 v2*"``,
     ``"v[1,2] v[1,2]*"``, ``"1 - v1 v1* - v2 v2*"``.  Raises
-    :class:`ExpressionSyntaxError` with a position on malformed input and
+    :class:`ExpressionSyntaxError` with a position on malformed input,
+    including parentheses nested deeper than ``MAX_PAREN_DEPTH`` levels, and
     :class:`LetterRangeError` when a letter exceeds the alphabet.
     """
-    tokens = _tokenize(text)
-    parser = _Parser(tokens, n)
+    parser = _Parser(_tokenize(text), n)
     result = parser.parse_element()
-    trailing = parser.peek()
-    if trailing.kind != "end":
-        raise ExpressionSyntaxError("trailing input after expression", trailing.pos)
+    if parser.peek() != "end":
+        raise ExpressionSyntaxError("trailing input after expression",
+                                    parser.tokens[parser.k][2])
     return result

@@ -107,6 +107,13 @@ class TestEval:
         assert main(["eval", state, "v1 +"]) == 2
         assert "error" in capsys.readouterr().err
 
+    def test_deep_nesting_is_input_error(self, tmp_path, capsys):
+        state = vacuum_file(tmp_path)
+        assert main(["eval", state, "(" * 400 + "v1" + ")" * 400]) == 2
+        err = capsys.readouterr().err
+        assert "nested deeper than 100 levels (at position 100)" in err
+        assert "Traceback" not in err
+
     def test_letter_out_of_range_is_input_error(self, tmp_path):
         state = vacuum_file(tmp_path)
         assert main(["eval", state, "v7"]) == 2

@@ -13,6 +13,9 @@ blocks began to sum rank-one: the smallest eigenvalues printed by
 ``check --what decreasing`` moved at rounding level (about -2e-16 to about
 -4e-16), and ``.singular.json`` holds its rounding residue as rank-one
 blocks instead of dense ones.
+The ``eval`` entries of the last four expressions were recorded before the
+word layer dropped its ``Word`` and ``Monomial`` objects, to pin how
+products reduce.
 
 Runs happen inside the test's temporary directory with relative paths,
 because ``extend`` and ``decompose`` print the paths they wrote.
@@ -56,7 +59,11 @@ MEASURE = {"haar_weight": 0.5,
            "atoms": [{"angle": 0.7, "weight": 0.3},
                      {"angle": 2.9, "weight": 0.2}]}
 
-EXPRESSIONS = ("1", "v1 v2*", "(0.5+0.5i) v[1,2] v1* + 0.25", "v[1,2,1,2,1,2]")
+EXPRESSIONS = ("1", "v1 v2*", "(0.5+0.5i) v[1,2] v1* + 0.25", "v[1,2,1,2,1,2]",
+               # Products that reduce by prefix absorption, by suffix
+               # absorption and to zero, and the three imaginary spellings.
+               "v1* v1 v2 v2*", "v[1,2]* v1 v2 v1*", "v2* v1 + 2",
+               "(i) v1 v2* + (-i) v2 v1* + 2i v1* v1")
 
 
 def write_json(path, payload):
@@ -138,6 +145,10 @@ GOLDEN = {
     'readme:eval-1': (0, '0ccdb5a77ba5bf7687f2565a8ed97dfb9c1af45503c496fb646312239fab5101', {}),
     'readme:eval-2': (0, 'b7dcf3206aee4749d030f1b5ce273d26975dffb8caef70074273afe5a36e5638', {}),
     'readme:eval-3': (3, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', {}),
+    'readme:eval-4': (0, '0ccdb5a77ba5bf7687f2565a8ed97dfb9c1af45503c496fb646312239fab5101', {}),
+    'readme:eval-5': (0, '46779aea709043761a1ed7a2db759fe578059775ddedeb190952078b042b3f0c', {}),
+    'readme:eval-6': (0, '4516f6eaaa675488778d6ca333df14bc68c27fb7d7b8015073220d4571aa9c51', {}),
+    'readme:eval-7': (0, '665ae877edd92e755fe8504188724e0438a217c62edad817b262fb85e6289a88', {}),
     'vacuum:check-positivity': (0, '85e6c57e6ab0168a49e2290f1ceec60febd0481d1e30468ffaea8e919e962967', {}),
     'vacuum:check-decreasing': (0, '4660ebb7762675d3f1a7d2d387a21ccbe08537f58b9d3a3dd1a65cb7213fec51', {}),
     'vacuum:check-essential': (1, '5b33b605f2abd2306daf9176405a5c560c675cb9c31517a8736e5fb9b4b6d2cc', {}),
@@ -151,6 +162,10 @@ GOLDEN = {
     'vacuum:eval-1': (0, '0ccdb5a77ba5bf7687f2565a8ed97dfb9c1af45503c496fb646312239fab5101', {}),
     'vacuum:eval-2': (0, 'b7dcf3206aee4749d030f1b5ce273d26975dffb8caef70074273afe5a36e5638', {}),
     'vacuum:eval-3': (3, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', {}),
+    'vacuum:eval-4': (0, '0ccdb5a77ba5bf7687f2565a8ed97dfb9c1af45503c496fb646312239fab5101', {}),
+    'vacuum:eval-5': (0, '0ccdb5a77ba5bf7687f2565a8ed97dfb9c1af45503c496fb646312239fab5101', {}),
+    'vacuum:eval-6': (0, '4516f6eaaa675488778d6ca333df14bc68c27fb7d7b8015073220d4571aa9c51', {}),
+    'vacuum:eval-7': (0, '665ae877edd92e755fe8504188724e0438a217c62edad817b262fb85e6289a88', {}),
     'ext:check-positivity': (0, 'c0ea0a7426d4c606396ae166e05363a196922a2bc47573ee9e8e2344b25b6e7c', {}),
     'ext:check-decreasing': (0, '6f896ac52ccad493ac456af6cb9c5b197671800dafacf632fd101c41fbf6dee8', {}),
     'ext:check-essential': (0, 'b4c3421d298ff085f1002c338fa03b95bfaef5b0d745eca7df0991162ac378c2', {}),
@@ -164,6 +179,10 @@ GOLDEN = {
     'ext:eval-1': (0, 'ebb9ce382857f661cee1bb0264844109fe1e432f1c3498d298d7c1404ac8cd15', {}),
     'ext:eval-2': (0, 'b7dcf3206aee4749d030f1b5ce273d26975dffb8caef70074273afe5a36e5638', {}),
     'ext:eval-3': (3, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', {}),
+    'ext:eval-4': (0, '3011ec85f6ca700054c38f8b7f8dbfbb719378ff47eba895c3ed1359290ffcef', {}),
+    'ext:eval-5': (0, '0ccdb5a77ba5bf7687f2565a8ed97dfb9c1af45503c496fb646312239fab5101', {}),
+    'ext:eval-6': (0, '4516f6eaaa675488778d6ca333df14bc68c27fb7d7b8015073220d4571aa9c51', {}),
+    'ext:eval-7': (0, '788aecdf6876937ea083a299cddaa1e9b9d566c673903efde41e88785cb98f98', {}),
     'mixture:check-positivity': (0, '34f7c282c3f9b009e4d738bfbb2ae1293e3b74738612f5453e78a8bf65c4b3fd', {}),
     'mixture:check-decreasing': (0, '38966bed648ce9a6b47d1426eb90319f9a37e8958ae76fb868d0270f252680f9', {}),
     'mixture:check-essential': (1, 'be5499655c4353833bde2fa6c48f69c1cb1d9e4e967abad0a1aa3a4ea467f0c6', {}),
@@ -177,6 +196,10 @@ GOLDEN = {
     'mixture:eval-1': (0, '499c01edc1af72930f911486952eec49fc2654708f0d577b0e985e96b360ba08', {}),
     'mixture:eval-2': (0, 'b7dcf3206aee4749d030f1b5ce273d26975dffb8caef70074273afe5a36e5638', {}),
     'mixture:eval-3': (3, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', {}),
+    'mixture:eval-4': (0, '360c5b0828c2c229ff6fb2be070ee85cc85e55cf2847d60d187986c0cced2eee', {}),
+    'mixture:eval-5': (0, '8e296a0685a97365e21e9c4641a8ef05d70a888410993eba305decaba86a359c', {}),
+    'mixture:eval-6': (0, '4516f6eaaa675488778d6ca333df14bc68c27fb7d7b8015073220d4571aa9c51', {}),
+    'mixture:eval-7': (0, '9db4284aa511f2c9d1a9ef88924bcef8e55666aedacc8db30ef9506665dbeb13', {}),
     'mixture:input': '576b59b4f2d06298ade025b188fb30af6e2eb2ea5bba19807078386bfd4eb877',
 }
 

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import SEED
 from fockstate.errors import InsufficientMomentsError, SchemaError
@@ -117,6 +119,16 @@ class TestMomentSequence:
         assert t[1, 0] == tau.value(1)
         assert t[0, 1] == tau.value(-1)
         assert np.abs(t - t.conj().T).max() == 0.0
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.floats(-1e6, 1e6),
+           st.lists(st.complex_numbers(max_magnitude=1e6, allow_nan=False),
+                    max_size=8))
+    def test_toeplitz_is_exactly_hermitian(self, zeroth, rest):
+        # herglotz_check and atomic_from_moments hand this matrix to
+        # eigvalsh as it is.
+        t = MomentSequence([zeroth, *rest]).toeplitz()
+        assert np.array_equal(t, t.conj().T)
 
 
 class TestHerglotz:
