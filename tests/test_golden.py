@@ -3,7 +3,9 @@
 Four inputs run through every subcommand via ``cli.main``: the vector
 state from the README, a depth-3 vacuum, an n=2 period-2 extension built by
 ``extend`` from a mixed Haar+atom measure, and a dense mixture of that
-extension with a vector state.  Each run is pinned by its exit code, the
+extension with a vector state.  Two more extensions by the same measure, at
+n=1 (depth 12, with a prefix) and at n=3 (depth 4), run through the four
+checks and ``decompose``.  Each run is pinned by its exit code, the
 SHA-256 of its stdout and the SHA-256 of every file it writes, so any change
 to a printed digit, a key or the file layout shows up here.  The expected
 values were recorded from the command line as it stood before the block
@@ -15,7 +17,8 @@ blocks began to sum rank-one: the smallest eigenvalues printed by
 blocks instead of dense ones.
 The ``eval`` entries of the last four expressions were recorded before the
 word layer dropped its ``Word`` and ``Monomial`` objects, to pin how
-products reduce.
+products reduce, and the n=1 and n=3 extension entries before the extension
+coefficients stopped being filled into a dense (K+1)x(K+1) table.
 
 Runs happen inside the test's temporary directory with relative paths,
 because ``extend`` and ``decompose`` print the paths they wrote.
@@ -53,6 +56,16 @@ SEQUENCE = {
     "n": 2,
     "prefix": [[[0.6, 0.0], [0.0, 0.8]]],
     "cycle": [[[0.0, 0.6], [0.8, 0.0]], [[1.0, 0.0], [0.0, 0.0]]],
+}
+
+# n = 1 with a two-vector prefix, and n = 3 with a period-2 cycle.
+SEQUENCE_N1 = {"n": 1, "prefix": [[[0.6, 0.8]], [[0.0, -1.0]]],
+               "cycle": [[[0.8, -0.6]]]}
+SEQUENCE_N3 = {
+    "n": 3,
+    "prefix": [[[0.6, 0.0], [0.0, 0.8], [0.0, 0.0]]],
+    "cycle": [[[0.0, 0.0], [0.6, 0.0], [0.0, 0.8]],
+              [[0.0, 0.8], [0.0, 0.0], [0.6, 0.0]]],
 }
 
 MEASURE = {"haar_weight": 0.5,
@@ -117,6 +130,14 @@ def golden_runs(tmp_path, capsys):
     measure = write_json(tmp_path / "measure.json", MEASURE)
     plan = [("extend", ["extend", seq, measure, "--depth", "5",
                         "--out", "ext.json"], ("ext.json",))]
+    for name, payload, depth in (("ext1", SEQUENCE_N1, 12), ("ext3", SEQUENCE_N3, 4)):
+        path = write_json(tmp_path / f"{name}-seq.json", payload)
+        plan.append((f"extend-{name}", ["extend", path, measure, "--depth",
+                                        str(depth), "--out", f"{name}.json"],
+                     (f"{name}.json",)))
+        # The four checks and decompose; the expressions are written for n = 2.
+        plan += [(f"{name}:{label}", argv, outputs)
+                 for label, argv, outputs in state_runs(f"{name}.json")[:5]]
     for name, payload in (("readme", README_STATE), ("vacuum", VACUUM_STATE),
                           ("mixture", dense_mixture())):
         write_json(tmp_path / f"{name}.json", payload)
@@ -135,6 +156,30 @@ def golden_runs(tmp_path, capsys):
 GOLDEN = {
     'extend': (0, 'a02e20a0f89a99ae1e0a0663ae9e8587e11b40671a565240b8b68e4bbfccac8f', {
         'ext.json': '1f32144390335851b4e97369a391ca9ca8c007d1f9c78836144853621549ee78',
+    }),
+    'extend-ext1': (0, '5f373bc8abc6197729a096755336e7bca7df3919f26329fdad5a3cd1f1cb29a4', {
+        'ext1.json': 'c157597c8ed83799437c282fd5d2be16a13e007326eddc57f379ccbfa317981f',
+    }),
+    'ext1:check-positivity': (0, 'bf8582fb9af030008a69d4402a8084a5115b64f0036b189b9e03f78cef6858c9', {}),
+    'ext1:check-decreasing': (0, '8d1403df14f2ec6930b61fc6a204030c73f4b901e4d00c9fca9d7b856c4f04c2', {}),
+    'ext1:check-essential': (0, '0297478c3eb156a4122bd680f5403b74c4e9fb3aaf9ccd0888637b3aa37b0029', {}),
+    'ext1:check-singular': (1, '9b6510141ea08b51779411dea650a4deac105ac49395c3f5d0ff0a99221c0099', {}),
+    'ext1:decompose': (0, 'c1a5865c575add141d0af3713631b3095b482c73fad9b4f5f71617344bebf2bf', {
+        'ext1.essential.json': '61b1aa4e0c936831c699efa677b87cbb1e310f443bdb19a15718295aaf7253db',
+        'ext1.singular.json': 'd50c0f2744e068e8cb0052f4ccfc8611089013294b64db5673cb8f9e515df85d',
+        'ext1.profile.csv': '0289a80ddfca9ea0181c222778ed25b1a5628a5e847dc871bc5a2372b23c17d5',
+    }),
+    'extend-ext3': (0, '11737e8d3d53e61f9119d97e90aa567280ed1331945a9f2fd1fc5f5b19e21ef7', {
+        'ext3.json': 'f683e51e4a394ba846d9cc89cac3a1e55a8240fd94bf3a0aaf6460623aae5ad1',
+    }),
+    'ext3:check-positivity': (0, '75a8b73b7dd1e1fc07ef830d046d26f262b7ccaf098cf3dc54aa1681d6f2157b', {}),
+    'ext3:check-decreasing': (0, 'f90fdcfc5d20e7bce1962e7e20a40ecaefb070c5d8c37c036bebaefaa31e47a7', {}),
+    'ext3:check-essential': (0, '53b5a01aa0448178f58596e4171015f47fe8b9a514256f78cfd9cc48a74d524f', {}),
+    'ext3:check-singular': (1, 'dfac30f14f82a33c9376c9aee9a4f0f2f43c80865e1287f0049f4859746e3b72', {}),
+    'ext3:decompose': (0, 'a69fff53e76bc9819a4529ffa3c92f3af66ad508f2aa607db04e09f49533f4e2', {
+        'ext3.essential.json': 'cd6efc0264f88921988198a38d9b51a79b50a201f1b5eb2f08991783deb57412',
+        'ext3.singular.json': 'e47ec8d495246194ebc0b668d1602d91b6683361e08baea3a1b8d5b7b3ad756d',
+        'ext3.profile.csv': 'c79d7880b7d17e2b82a3089a8e66b8a3ab931996303d272849ecdb0bc75dfa0b',
     }),
     'readme:check-positivity': (0, '47b94c7cb4a23b5acb50a5a9499ec8f9ec39ac7feff4cd972cfc431bec26456b', {}),
     'readme:check-decreasing': (0, 'e3dcdcdba3c99278e750ceac957cc3c20e471becee683660b84986e1757d2af0', {}),
