@@ -15,6 +15,10 @@ class LetterRangeError(FockstateError, ValueError):
     """A word letter lies outside 1..n."""
 
 
+class CoefficientRangeError(FockstateError, ValueError):
+    """A coefficient is not finite, or its modulus overflows."""
+
+
 class ExpressionSyntaxError(FockstateError, ValueError):
     """Malformed expression text; carries the offending position."""
 

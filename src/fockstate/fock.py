@@ -136,7 +136,7 @@ class FockContext:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Rank1Block:
     """Block stored as coeff * |left><right| without materializing it."""
 
@@ -282,10 +282,11 @@ class BlockMatrix:
     def __init__(self, ctx: FockContext, blocks: dict):
         self.ctx = ctx
         self.blocks = {}
+        depth, dims = ctx.depth, ctx.level_dims
         for (i, j), block in blocks.items():
-            if not (0 <= i <= ctx.depth and 0 <= j <= ctx.depth):
-                raise ValueError(f"block ({i},{j}) outside levels 0..{ctx.depth}")
-            shape = (ctx.dim(i), ctx.dim(j))
+            if not (0 <= i <= depth and 0 <= j <= depth):
+                raise ValueError(f"block ({i},{j}) outside levels 0..{depth}")
+            shape = (dims[i], dims[j])
             if isinstance(block, Rank1Block):
                 if block.left.shape != shape[:1] or block.right.shape != shape[1:]:
                     raise ValueError(f"rank-one block ({i},{j}) has wrong factor sizes")
@@ -527,9 +528,6 @@ class FockOperator(BlockMatrix):
             exact=self.exact, compression=self.compression,
         )
 
-    def is_hermitian(self, tol: float = 1e-12) -> bool:
-        return self.diff(self.adjoint()) <= tol
-
     # -- serialization ---------------------------------------------------
 
     @classmethod
@@ -543,9 +541,9 @@ class FockOperator(BlockMatrix):
 # ---------------------------------------------------------------------------
 
 
-def _fields(payload, required, what: str, optional=()) -> list:
+def _fields(payload, required, what: str, optional=(), lists=()) -> list:
     """Values of the ``required`` keys of a JSON object, after checking that
-    it is an object with no unknown and no missing key."""
+    it is an object with no unknown or missing key and lists at ``lists``."""
     if not isinstance(payload, dict):
         raise SchemaError(f"{what} must be an object")
     extra = set(payload) - set(required) - set(optional)
@@ -554,6 +552,8 @@ def _fields(payload, required, what: str, optional=()) -> list:
     for key in required:
         if key not in payload:
             raise SchemaError(f"{what} missing key {key!r}")
+        if key in lists and not isinstance(payload[key], list):
+            raise SchemaError(f"'{key}' must be a list")
     return [payload[key] for key in required]
 
 
@@ -630,10 +630,9 @@ def _blocks_from_payload(payload: dict, rank_one: bool = False):
     :class:`Rank1Block`, and bit-identical factors are decoded to one
     shared array.  A record never mixes the two kinds.
     """
-    n, depth, records = _fields(payload, ("n", "K", "blocks"), "operator payload")
+    n, depth, records = _fields(payload, ("n", "K", "blocks"), "operator payload",
+                                lists=("blocks",))
     ctx = FockContext(_integer(n, 1, "'n'"), _integer(depth, 0, "'K'"))
-    if not isinstance(records, list):
-        raise SchemaError("'blocks' must be a list")
     blocks = {}
     factors = {}
     for rec in records:
@@ -663,28 +662,22 @@ def _blocks_from_payload(payload: dict, rank_one: bool = False):
 # ---------------------------------------------------------------------------
 
 
-def _create(ctx: FockContext, i: int, row_of) -> FockOperator:
-    """Creation by letter i: word index w of level k goes to row row_of(w)
-    of level k + 1.  Kills level K."""
+def left_create(ctx: FockContext, i: int) -> FockOperator:
+    """Prepend letter i: sends the word w to (i)w.  Kills level K."""
+    return represent(ctx, AlgebraElement.generator(ctx.n, i))
+
+
+def right_create(ctx: FockContext, i: int) -> FockOperator:
+    """Append letter i: sends the word w to w(i).  Kills level K."""
     if not 1 <= i <= ctx.n:
         raise LetterRangeError(f"letter {i} outside 1..{ctx.n}")
     blocks = {}
     for k in range(ctx.depth):
         cols = np.arange(ctx.dim(k))
         arr = np.zeros((ctx.dim(k + 1), cols.size), dtype=complex)
-        arr[row_of(cols), cols] = 1.0
+        arr[cols * ctx.n + (i - 1), cols] = 1.0
         blocks[(k + 1, k)] = arr
     return FockOperator(ctx, blocks, ctx.depth - 1, 1, 0, compression=True)
-
-
-def left_create(ctx: FockContext, i: int) -> FockOperator:
-    """Prepend letter i: sends the word w to (i)w.  Kills level K."""
-    return _create(ctx, i, lambda w: (i - 1) * w.size + w)
-
-
-def right_create(ctx: FockContext, i: int) -> FockOperator:
-    """Append letter i: sends the word w to w(i).  Kills level K."""
-    return _create(ctx, i, lambda w: w * ctx.n + (i - 1))
 
 
 def represent(ctx: FockContext, element: AlgebraElement) -> FockOperator:
@@ -718,8 +711,6 @@ def represent(ctx: FockContext, element: AlgebraElement) -> FockOperator:
             rows = il * nt + np.arange(nt)
             cols = ir * nt + np.arange(nt)
             blocks[key][rows, cols] += coeff
-    raise_bound = max(0, raise_bound)
-    drop_bound = max(0, drop_bound)
     return FockOperator(ctx, blocks, ctx.depth - raise_bound,
                         raise_bound, drop_bound, compression=True)
 

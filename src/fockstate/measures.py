@@ -128,10 +128,9 @@ class CircleMeasure:
 
     @classmethod
     def from_payload(cls, payload: dict) -> "CircleMeasure":
-        haar_weight, records = _fields(payload, ("haar_weight", "atoms"), "measure payload")
+        haar_weight, records = _fields(payload, ("haar_weight", "atoms"), "measure payload",
+                                       lists=("atoms",))
         haar_weight = _finite_number(haar_weight, "'haar_weight'")
-        if not isinstance(records, list):
-            raise SchemaError("'atoms' must be a list")
         atoms = []
         for rec in records:
             angle, weight = _fields(rec, ("angle", "weight"), "atom")

@@ -6,9 +6,9 @@ carries a product state on the truncated Fock space, and every
 probability measure on the circle induces an extension of that product
 state whose blocks are rank one with scalar coefficients indexed by a
 pair of levels.  This module detects the sequence period, normalizes
-phases, builds the coefficient table and the extensions, moves states
-along the gauge orbit, and reads the measure's moments back out of an
-extension.
+phases, walks the nonzero lattice coefficients and builds the extensions,
+moves states along the gauge orbit, and reads the measure's moments back
+out of an extension.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ __all__ = [
     "is_rephased",
     "elementary_tensors",
     "product_state",
-    "ExtensionCoefficients",
     "extension_coefficients",
     "extend",
     "gauge_transform",
@@ -108,11 +107,9 @@ class UnitVectorSequence:
 
     @classmethod
     def from_payload(cls, payload: dict) -> "UnitVectorSequence":
-        n, prefix, cycle = _fields(payload, ("n", "prefix", "cycle"), "sequence payload")
+        n, prefix, cycle = _fields(payload, ("n", "prefix", "cycle"), "sequence payload",
+                                   lists=("prefix", "cycle"))
         n = _integer(n, 1, "'n'")
-        for key, vectors in (("prefix", prefix), ("cycle", cycle)):
-            if not isinstance(vectors, list):
-                raise SchemaError(f"'{key}' must be a list of vectors")
         prefix = [_sized_entries(v, n, "prefix vector") for v in prefix]
         cycle = [_sized_entries(v, n, "cycle vector") for v in cycle]
         try:
@@ -206,31 +203,6 @@ def product_state(seq: UnitVectorSequence, depth: int) -> StateHandle:
     return StateHandle(matrix, classification="essential")
 
 
-class ExtensionCoefficients:
-    """Table of scalar block coefficients for a measure extension.
-
-    ``table[k, l]`` couples levels k and l; it is exactly zero unless the
-    period divides k - l.  The table is generated by seeding the highest
-    row of each diagonal with a Fourier coefficient times a finite tail
-    product and walking downward through
-
-        table[k, l] = table[k + 1, l + 1] * <e_{l+1}, e_{k+1}>
-
-    with the mirror half filled by conjugation, so that recursion and
-    the Hermitian symmetry hold exactly on the stored values.
-    """
-
-    __slots__ = ("period", "depth", "table")
-
-    def __init__(self, period: int, depth: int, table: np.ndarray):
-        self.period = int(period)
-        self.depth = int(depth)
-        self.table = table
-
-    def value(self, k: int, l: int) -> complex:
-        return complex(self.table[k, l])
-
-
 def _tail_product(seq: UnitVectorSequence, k: int, l: int) -> complex:
     """Product of <e_{l+i}, e_{k+i}> over i >= 1 for lattice pairs.
 
@@ -246,9 +218,16 @@ def _tail_product(seq: UnitVectorSequence, k: int, l: int) -> complex:
 
 def extension_coefficients(
     seq: UnitVectorSequence, p: int, measure: CircleMeasure, depth: int
-) -> ExtensionCoefficients:
-    """Build the coefficient table for the extension by ``measure``.
+) -> dict:
+    """Nonzero block coefficients ``{(k, l): c}`` of the extension by
+    ``measure``, c coupling levels k and l, in row-major order of (l, k).
 
+    They lie on the lattice diagonals (p divides k - l) whose Fourier
+    coefficient is not zero.  Each such diagonal is seeded at its top with
+    the Fourier coefficient times a finite tail product and walked downward
+    through c[k, l] = c[k + 1, l + 1] * <e_{l+1}, e_{k+1}> until the first
+    zero, with the mirror pair (l, k) taking the conjugate, so that
+    recursion and the Hermitian symmetry hold exactly on the stored values.
     Requires a rephased sequence (cycle length equal to the period and
     nonnegative overlaps one period apart); that is what makes the tail
     products finite and the lattice structure exact.
@@ -260,19 +239,31 @@ def extension_coefficients(
             "apply rephase() first"
         )
     K = int(depth)
-    lam = np.zeros((K + 1, K + 1), dtype=complex)
+    walks = {}  # d -> [c[K, K - d], c[K - 1, K - 1 - d], ...] down to the first zero
     for m in range(K // p + 1):
-        d = m * p
         moment = complex(fourier(measure, m))
-        lam[K, K - d] = moment * _tail_product(seq, K, K - d)
-        for k in range(K, d, -1):
-            l = k - d
-            lam[k - 1, l - 1] = lam[k, l] * seq.overlap(l, k)
-        if d:
-            for k in range(d, K + 1):
-                l = k - d
-                lam[l, k] = np.conj(lam[k, l])
-    return ExtensionCoefficients(p, K, lam)
+        if moment == 0:
+            continue
+        d = m * p
+        c = moment * _tail_product(seq, K, K - d)
+        walk = walks[d] = []
+        for k in range(K, d - 1, -1):
+            if k < K:
+                c = c * seq.overlap(k - d + 1, k + 1)
+            if c == 0:
+                break
+            walk.append(c)
+    # Row by row, as every other state is built, so that sums over the
+    # blocks of an extension run in the same order as before.
+    coeffs = {}
+    for l in range(K + 1):
+        for d, walk in reversed(walks.items()):
+            if 0 < d <= l and K - l < len(walk):
+                coeffs[(l - d, l)] = walk[K - l].conjugate()
+        for d, walk in walks.items():
+            if 0 <= K - l - d < len(walk):
+                coeffs[(l + d, l)] = walk[K - l - d]
+    return coeffs
 
 
 def extend(seq: UnitVectorSequence, measure: CircleMeasure, depth: int) -> StateHandle:
@@ -284,19 +275,11 @@ def extend(seq: UnitVectorSequence, measure: CircleMeasure, depth: int) -> State
     invariant under slicing by the coefficient recursion.
     """
     ctx = FockContext(seq.n, depth)
-    p = period(seq)
-    coeffs = extension_coefficients(seq, p, measure, depth)
+    coeffs = extension_coefficients(seq, period(seq), measure, depth)
     tensors = elementary_tensors(seq, depth)
-    blocks = {}
-    for i in range(depth + 1):
-        for j in range(depth + 1):
-            if (i - j) % p:
-                continue
-            c = coeffs.value(j, i)
-            if c != 0:
-                blocks[(i, j)] = Rank1Block(c, tensors[i], tensors[j])
-    matrix = BlockOperatorMatrix(ctx, blocks)
-    return StateHandle(matrix, classification="essential")
+    blocks = {(i, j): Rank1Block(c, tensors[i], tensors[j])
+              for (j, i), c in coeffs.items()}
+    return StateHandle(BlockOperatorMatrix(ctx, blocks), classification="essential")
 
 
 def gauge_transform(state, lam: complex):

@@ -25,6 +25,8 @@ normalization, which keeps the reduced form canonical.
 
 from __future__ import annotations
 
+import cmath
+import math
 import re
 from typing import Mapping
 
@@ -32,6 +34,7 @@ import numpy as np
 
 from .errors import (
     AlphabetMismatchError,
+    CoefficientRangeError,
     ExpressionSyntaxError,
     LetterRangeError,
 )
@@ -80,7 +83,8 @@ class AlgebraElement:
 
     Terms are kept in a dict keyed by ``(left_letters, right_letters)``.
     All arithmetic re-normalizes, so two elements are equal iff their
-    stored dicts are equal.
+    stored dicts are equal.  A coefficient that is not finite, or whose
+    modulus overflows, raises :class:`CoefficientRangeError`.
     """
 
     __slots__ = ("n", "_terms")
@@ -93,7 +97,13 @@ class AlgebraElement:
         if terms:
             for (lt, rt), c in terms.items():
                 c = complex(c)
-                if abs(c) < COEFF_PRUNE:
+                try:
+                    size = abs(c)
+                except OverflowError:
+                    size = math.inf
+                if not size < math.inf:
+                    raise CoefficientRangeError(f"coefficient {c!r} is not finite or too large")
+                if size < COEFF_PRUNE:
                     continue
                 lt, rt = tuple(lt), tuple(rt)
                 _check_letters(lt, n)
@@ -339,6 +349,8 @@ def _tokenize(text: str) -> list[Token]:
             value = tuple(int(s) for s in re.findall(r"\d+", m[0]))
         else:
             value = m[0]
+        if kind == "coeff" and cmath.isinf(value):
+            raise ExpressionSyntaxError("number beyond the float range", pos)
         tokens.append((kind, value, pos))
     tokens.append(("end", None, len(text)))
     return tokens
@@ -423,8 +435,9 @@ def parse_expression(text: str, n: int) -> AlgebraElement:
     Examples accepted: ``"v1 v2*"``, ``"(1+2i) v1 + v2 v2*"``,
     ``"v[1,2] v[1,2]*"``, ``"1 - v1 v1* - v2 v2*"``.  Raises
     :class:`ExpressionSyntaxError` with a position on malformed input,
-    including parentheses nested deeper than ``MAX_PAREN_DEPTH`` levels, and
-    :class:`LetterRangeError` when a letter exceeds the alphabet.
+    including parentheses nested deeper than ``MAX_PAREN_DEPTH`` levels and
+    numbers beyond the float range, :class:`LetterRangeError` when a letter
+    exceeds the alphabet, and :class:`CoefficientRangeError` on overflow.
     """
     parser = _Parser(_tokenize(text), n)
     result = parser.parse_element()

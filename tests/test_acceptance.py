@@ -358,8 +358,8 @@ def test_criterion_07_moment_recovery_inverts_extension():
             for l in range(depth):
                 if (k - l) % p:
                     continue
-                lhs = coeffs.value(k, l)
-                rhs = coeffs.value(k + 1, l + 1) * seq.overlap(l + 1, k + 1)
+                lhs = coeffs.get((k, l), 0j)
+                rhs = coeffs.get((k + 1, l + 1), 0j) * seq.overlap(l + 1, k + 1)
                 recursion_breaks += lhs != rhs
         off_lattice += sum((i - j) % p != 0
                            for (i, j) in handle.matrix.blocks)

@@ -114,6 +114,20 @@ class TestEval:
         assert "nested deeper than 100 levels (at position 100)" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("expression", [
+        "1" * 401,
+        "{big} + {big}",
+        "({big}+{big}i)",
+    ])
+    def test_overflowing_number_is_input_error(self, tmp_path, capsys, expression):
+        big = format(np.finfo(float).max, "f")
+        state = vacuum_file(tmp_path, depth=2)
+        assert main(["eval", state, expression.format(big=big)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert "Traceback" not in captured.err
+
     def test_letter_out_of_range_is_input_error(self, tmp_path):
         state = vacuum_file(tmp_path)
         assert main(["eval", state, "v7"]) == 2

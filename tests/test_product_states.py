@@ -9,6 +9,8 @@ for moment recovery.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import SEED
 from helpers import random_sequence, random_unit_vector, random_word
@@ -17,7 +19,6 @@ from fockstate.density import Rank1Block, StateHandle, classify
 from fockstate.errors import HorizonError, SchemaError
 from fockstate.measures import CircleMeasure, fourier
 from fockstate.product_states import (
-    ExtensionCoefficients,
     UnitVectorSequence,
     elementary_tensors,
     extend,
@@ -296,8 +297,8 @@ class TestCoefficients:
             for l in range(6):
                 if (k - l) % 2:
                     continue
-                lhs = coeffs.value(k, l)
-                rhs = coeffs.value(k + 1, l + 1) * seq.overlap(l + 1, k + 1)
+                lhs = coeffs.get((k, l), 0j)
+                rhs = coeffs.get((k + 1, l + 1), 0j) * seq.overlap(l + 1, k + 1)
                 assert lhs == rhs
 
     def test_conjugate_mirror_exact(self):
@@ -307,7 +308,7 @@ class TestCoefficients:
         coeffs = extension_coefficients(seq, 1, measure, 5)
         for k in range(6):
             for l in range(6):
-                assert coeffs.value(l, k) == np.conj(coeffs.value(k, l))
+                assert coeffs.get((l, k), 0j) == np.conj(coeffs.get((k, l), 0j))
 
     def test_diagonal_is_zeroth_moment(self):
         rng = np.random.default_rng(SEED + 43)
@@ -315,8 +316,8 @@ class TestCoefficients:
         measure = CircleMeasure.from_atoms([(0.3, 0.7), (4.0, 0.3)])
         coeffs = extension_coefficients(seq, 2, measure, 5)
         for k in range(6):
-            assert coeffs.value(k, k) == fourier(measure, 0)
-            assert coeffs.value(k, k) == pytest.approx(1.0, abs=1e-12)
+            assert coeffs.get((k, k), 0j) == fourier(measure, 0)
+            assert coeffs.get((k, k), 0j) == pytest.approx(1.0, abs=1e-12)
 
     def test_off_lattice_exactly_zero(self):
         rng = np.random.default_rng(SEED + 44)
@@ -327,7 +328,7 @@ class TestCoefficients:
         for k in range(7):
             for l in range(7):
                 if (k - l) % 2:
-                    assert coeffs.value(k, l) == 0j
+                    assert coeffs.get((k, l), 0j) == 0j
 
     def test_exactly_periodic_reduces_to_fourier(self):
         rng = np.random.default_rng(SEED + 45)
@@ -337,8 +338,8 @@ class TestCoefficients:
         for k in range(8):
             for l in range(k % 3, k + 1, 3):
                 m = (k - l) // 3
-                assert coeffs.value(k, l) == fourier(measure, m)
-                assert coeffs.value(l, k) == np.conj(fourier(measure, m))
+                assert coeffs.get((k, l), 0j) == fourier(measure, m)
+                assert coeffs.get((l, k), 0j) == np.conj(fourier(measure, m))
 
     def test_prefix_tail_oracle(self):
         rng = np.random.default_rng(SEED + 46)
@@ -352,7 +353,30 @@ class TestCoefficients:
                 for i in range(1, max(0, P - l) + 1):
                     tail *= raw_overlap(seq, l + i, k + i)
                 expected = fourier(measure, (k - l) // 2) * tail
-                assert coeffs.value(k, l) == pytest.approx(expected, abs=1e-12)
+                assert coeffs.get((k, l), 0j) == pytest.approx(expected, abs=1e-12)
+
+
+    def test_stores_only_nonzero_lattice_pairs(self):
+        rng = np.random.default_rng(SEED + 47)
+        seq = self.rephased_sequence(rng, 2, 2, 3)
+        measure = CircleMeasure.from_atoms([(0.4, 0.5)], haar_weight=0.5)
+        coeffs = extension_coefficients(seq, 3, measure, 8)
+        assert all((k - l) % 3 == 0 and c != 0 for (k, l), c in coeffs.items())
+        assert len(coeffs) == sum(1 for k in range(9) for l in range(9)
+                                  if (k - l) % 3 == 0)
+
+    def test_haar_keeps_only_the_main_diagonal(self):
+        rng = np.random.default_rng(SEED + 48)
+        seq = self.rephased_sequence(rng, 3, 2, 2)
+        coeffs = extension_coefficients(seq, 2, CircleMeasure.haar(), 6)
+        assert sorted(coeffs) == [(k, k) for k in range(7)]
+
+    def test_n1_haar_stores_one_coefficient_per_level(self):
+        depth = 5000
+        seq = constant_sequence(1)
+        coeffs = extension_coefficients(seq, 1, CircleMeasure.haar(), depth)
+        assert len(coeffs) == depth + 1
+        assert len(extend(seq, CircleMeasure.haar(), depth).matrix.blocks) == depth + 1
 
 
 class TestExtend:
@@ -594,3 +618,51 @@ class TestElementaryTensors:
         # e_1 x e_2 sits at word (1, 2), index (1-1)*2 + (2-1) = 1
         assert t2[1] == 1.0
         assert np.count_nonzero(t2) == 1
+
+
+# -- the circle of extensions as properties ---------------------------------
+
+MAX_DEPTH = {1: 10, 2: 6, 3: 4}
+
+
+def random_measure(rng):
+    """Up to three atoms, with a Haar part half of the time."""
+    count = int(rng.integers(1, 4))
+    haar_weight = float(rng.uniform(0.0, 0.8)) if rng.random() < 0.5 else 0.0
+    weights = rng.uniform(0.2, 1.0, size=count)
+    weights *= (1.0 - haar_weight) / weights.sum()
+    angles = rng.uniform(0.0, 2.0 * np.pi, size=count)
+    return CircleMeasure.from_atoms(
+        list(zip(angles.tolist(), weights.tolist())), haar_weight=haar_weight)
+
+
+@st.composite
+def rephased_sequences(draw):
+    """(rephased sequence, its period, a depth) over n = 1, 2, 3."""
+    n = draw(st.sampled_from([1, 2, 3]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    seq = random_sequence(rng, n, draw(st.integers(0, 3)), draw(st.integers(1, 3)))
+    p = period(seq)
+    return rephase(seq, p), p, draw(st.integers(0, MAX_DEPTH[n]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(rephased_sequences(), st.integers(0, 2**32 - 1),
+       st.floats(0.05, 0.95) | st.sampled_from([0.0, 1.0]))
+def test_extension_is_affine_in_the_measure(sequence, seed, t):
+    seq, _, depth = sequence
+    rng = np.random.default_rng(seed)
+    m1, m2 = random_measure(rng), random_measure(rng)
+    mixed = extend(seq, convexify(m1, m2, t), depth).matrix
+    combo = t * extend(seq, m1, depth).matrix + (1 - t) * extend(seq, m2, depth).matrix
+    assert mixed.max_abs_diff(combo) <= 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(rephased_sequences(), st.floats(0.0, 2 * np.pi), st.floats(0.0, 2 * np.pi))
+def test_gauge_moves_point_mass_extensions_around_the_circle(sequence, theta, phi):
+    seq, p, depth = sequence
+    moved = gauge_transform(extend(seq, CircleMeasure.point_mass(theta), depth),
+                            np.exp(1j * phi))
+    target = extend(seq, CircleMeasure.point_mass(theta + p * phi), depth)
+    assert moved.matrix.max_abs_diff(target.matrix) <= 1e-12

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from conftest import SEED
 from fockstate.errors import (
     AlphabetMismatchError,
+    CoefficientRangeError,
     ExpressionSyntaxError,
     LetterRangeError,
 )
@@ -286,6 +287,26 @@ class TestParser:
         # Coefficient parentheses do not nest.
         assert parse_expression("(" * MAX_PAREN_DEPTH + "(2i)" + ")" * MAX_PAREN_DEPTH, 2) \
             == 2j * AlgebraElement.one(2)
+
+    def test_overflowing_numbers_are_rejected(self):
+        big = format(np.finfo(float).max, "f")  # the largest float, positionally
+        with pytest.raises(ExpressionSyntaxError) as exc:
+            parse_expression("v1 + " + "1" * 401, 2)
+        assert exc.value.position == 5
+        with pytest.raises(ExpressionSyntaxError) as exc:
+            parse_expression(f"v1 (1-{'9' * 400}i) v1", 2)
+        assert exc.value.position == 3
+        for text in (f"{big} + {big}", f"({big}+{big}i)"):
+            with pytest.raises(CoefficientRangeError):
+                parse_expression(text, 2)
+        for c in (float("inf"), float("nan"), complex(np.finfo(float).max, 1e308)):
+            with pytest.raises(CoefficientRangeError):
+                AlgebraElement(2, {((1,), ()): c})
+        x = AlgebraElement(2, {((1,), ()): 1e300})
+        with pytest.raises(CoefficientRangeError):
+            x * x
+        with pytest.raises(CoefficientRangeError):
+            1e10 * x
 
     def test_roundtrip_through_repr_values(self):
         rng = np.random.default_rng(SEED + 6)
