@@ -19,7 +19,8 @@ original in the positive-decreasing cone.  Iterating it separates the part
 that lives "at infinity" (slice-invariant, the essential part) from the
 part supported on finitely many levels (slice-nilpotent, the singular
 part); :func:`decompose` performs that split and :func:`classify` names
-the outcome.
+the outcome.  Essential states are the slice-invariant ones, so
+:func:`decompose` walks each diagonal down once from the horizon's top.
 
 :class:`BlockOperatorMatrix` is the state side of the block core in
 :mod:`fockstate.fock`, which it shares with the Fock operators: block
@@ -454,10 +455,11 @@ def decompose(matrix: BlockOperatorMatrix,
               tol: float = EQUALITY_TOL) -> DecomposeResult:
     """Split into a slice-invariant part plus a finitely supported rest.
 
-    Iterated slices must stabilize within the horizon; the essential part
-    then takes each block from the deepest slice that still covers it,
-    which makes it slice-invariant by construction.  Raises
-    :class:`UndeterminedError` when no stabilization is visible.
+    Iterated slices must stabilize within the horizon.  The essential part
+    is then fixed by its top ring, the blocks with max(i, j) = h: block
+    (i, j) is the top block of its diagonal sliced h - max(i, j) times, so
+    the ring is sliced until it is empty, which walks each diagonal once.
+    Raises :class:`UndeterminedError` when no stabilization is visible.
     """
     h = matrix.horizon
     if h < 1:
@@ -465,30 +467,25 @@ def decompose(matrix: BlockOperatorMatrix,
             "horizon too short to decompose",
             trace_profile=list(matrix.trace_profile(max(h, 0))),
         )
-    iterates = [matrix.restricted(h)]
-    for _ in range(h):
-        iterates.append(iterates[-1].sliced())
-    stabilized_at = None
+    current = matrix.restricted(h)
     for m in range(h):
-        window = h - (m + 1)
-        if iterates[m + 1].max_abs_diff(iterates[m], level_limit=window) <= tol:
-            stabilized_at = m
+        following = current.sliced()
+        if following.max_abs_diff(current, level_limit=h - (m + 1)) <= tol:
             break
-    if stabilized_at is None:
+        current = following
+    else:
         raise UndeterminedError(
             "iterated slices do not stabilize within the horizon",
             trace_profile=list(matrix.trace_profile(h)),
         )
+    ring = BlockOperatorMatrix(matrix.ctx, {key: blk for key, blk in matrix.blocks.items()
+                                            if max(key) == h})
     blocks = {}
-    for i in range(h + 1):
-        for j in range(h + 1):
-            deep = iterates[h - max(i, j)]
-            blk = deep.blocks.get((i, j))
-            if blk is not None:
-                blocks[(i, j)] = blk
-    essential = BlockOperatorMatrix(matrix.ctx, blocks, h)
-    singular = matrix.restricted(h) - essential
-    return DecomposeResult(essential, singular, stabilized_at)
+    while ring.blocks:
+        blocks.update(ring.blocks)
+        ring = ring.sliced()
+    essential = BlockOperatorMatrix(matrix.ctx, dict(sorted(blocks.items())), h)
+    return DecomposeResult(essential, matrix.restricted(h) - essential, m)
 
 
 def gram_matrix(matrix: BlockOperatorMatrix,

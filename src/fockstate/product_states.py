@@ -220,7 +220,8 @@ def extension_coefficients(
     seq: UnitVectorSequence, p: int, measure: CircleMeasure, depth: int
 ) -> dict:
     """Nonzero block coefficients ``{(k, l): c}`` of the extension by
-    ``measure``, c coupling levels k and l, in row-major order of (l, k).
+    ``measure``, c coupling levels k and l, stored diagonal by diagonal as
+    they are walked.
 
     They lie on the lattice diagonals (p divides k - l) whose Fourier
     coefficient is not zero.  Each such diagonal is seeded at its top with
@@ -239,30 +240,21 @@ def extension_coefficients(
             "apply rephase() first"
         )
     K = int(depth)
-    walks = {}  # d -> [c[K, K - d], c[K - 1, K - 1 - d], ...] down to the first zero
+    coeffs = {}
     for m in range(K // p + 1):
         moment = complex(fourier(measure, m))
         if moment == 0:
             continue
         d = m * p
         c = moment * _tail_product(seq, K, K - d)
-        walk = walks[d] = []
         for k in range(K, d - 1, -1):
             if k < K:
                 c = c * seq.overlap(k - d + 1, k + 1)
             if c == 0:
                 break
-            walk.append(c)
-    # Row by row, as every other state is built, so that sums over the
-    # blocks of an extension run in the same order as before.
-    coeffs = {}
-    for l in range(K + 1):
-        for d, walk in reversed(walks.items()):
-            if 0 < d <= l and K - l < len(walk):
-                coeffs[(l - d, l)] = walk[K - l].conjugate()
-        for d, walk in walks.items():
-            if 0 <= K - l - d < len(walk):
-                coeffs[(l + d, l)] = walk[K - l - d]
+            coeffs[(k, k - d)] = c
+            if d:
+                coeffs[(k - d, k)] = c.conjugate()
     return coeffs
 
 

@@ -237,7 +237,7 @@ def test_criterion_04_corner_checks_match_gram_positivity():
 
 def _density_pairing(mat, op):
     total = 0j
-    for (i, j) in mat.blocks:
+    for (i, j) in sorted(mat.blocks):
         blk = op.block(j, i)
         if np.any(blk):
             total += complex(np.sum(mat.block(i, j) * blk.T))
