@@ -35,7 +35,7 @@ from .density import (
     state_eval,
     trace_profile_csv,
 )
-from .errors import HorizonError, SchemaError, UndeterminedError
+from .errors import CoefficientRangeError, HorizonError, SchemaError, UndeterminedError
 from .measures import CircleMeasure
 from .product_states import (
     UnitVectorSequence,
@@ -85,6 +85,8 @@ def _cmd_check(args) -> int:
     if args.what in ("positivity", "decreasing"):
         check = matrix.is_positive if args.what == "positivity" else matrix.is_decreasing
         result = check(tol if tol is not None else PSD_TOL_SCALE)
+        if not np.isfinite(result.min_eigenvalues + result.tolerances).all():
+            raise CoefficientRangeError("the state's entries overflow the corner checks")
         verdict = "pass" if result.ok else "fail"
         print(f"{args.what}: {verdict}")
         _print_json(

@@ -59,7 +59,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AlphabetMismatchError, HorizonError, SchemaError, UndeterminedError
+from .errors import (AlphabetMismatchError, CoefficientRangeError, HorizonError,
+                     SchemaError, UndeterminedError)
 from .fock import (
     BlockMatrix,
     FockContext,
@@ -237,6 +238,12 @@ class BlockOperatorMatrix(BlockMatrix):
             limit = self.horizon
         return tuple(self.level_trace(k) for k in range(limit + 1))
 
+    def _require_horizon(self, message: str) -> int:
+        """The horizon; below 1 raises UndeterminedError with the profile."""
+        if self.horizon < 1:
+            raise UndeterminedError(message, self.trace_profile(max(self.horizon, 0)))
+        return self.horizon
+
     # -- slicing -----------------------------------------------------------
 
     def sliced(self) -> "BlockOperatorMatrix":
@@ -351,7 +358,7 @@ class BlockOperatorMatrix(BlockMatrix):
         if level_limit > self.ctx.depth:
             raise ValueError(f"corner {level_limit} outside depth {self.ctx.depth}")
         compressed, offsets = self._compressed(level_limit)
-        compressed = 0.5 * (compressed + compressed.conj().T)
+        compressed = 0.5 * compressed + 0.5 * compressed.conj().T
         checked = []
         for k in range(level_limit + 1):
             rank = offsets[k + 1]
@@ -364,7 +371,9 @@ class BlockOperatorMatrix(BlockMatrix):
 
     def is_decreasing(self, tol_scale: float = PSD_TOL_SCALE) -> CheckResult:
         """Check that the slice is dominated by the matrix itself: all
-        corners of (self - sliced) up to horizon - 1 stay positive."""
+        corners of (self - sliced) up to horizon - 1 stay positive.  Raises
+        :class:`UndeterminedError` below horizon 1, where no corner is left."""
+        self._require_horizon("horizon too short to compare the state with its slice")
         diff = self.restricted(self.horizon - 1) - self.sliced()
         return diff.is_positive(tol_scale, level_limit=self.horizon - 1)
 
@@ -411,15 +420,20 @@ def state_eval(matrix: BlockOperatorMatrix, element: AlgebraElement) -> complex:
 
     Each term c * v_mu v_nu^* reads one entry of block (|nu|, |mu|).
     Raises :class:`HorizonError` when a term needs levels beyond the
-    matrix horizon.
+    matrix horizon, and :class:`CoefficientRangeError` when finite entries
+    sum to a value that is not finite.
     """
     if element.n != matrix.ctx.n:
         raise AlphabetMismatchError(
             f"element over alphabet of size {element.n}, state has {matrix.ctx.n}"
         )
-    total = 0j
+    total, finite = 0j, True
     for (mu, nu), coeff in element.terms.items():
-        total += coeff * matrix.monomial_value(mu, nu)
+        value = matrix.monomial_value(mu, nu)
+        finite = finite and np.isfinite(value)
+        total += coeff * value
+    if finite and not np.isfinite(total):
+        raise CoefficientRangeError(f"the value overflows to {total}")
     return total
 
 
@@ -461,12 +475,7 @@ def decompose(matrix: BlockOperatorMatrix,
     the ring is sliced until it is empty, which walks each diagonal once.
     Raises :class:`UndeterminedError` when no stabilization is visible.
     """
-    h = matrix.horizon
-    if h < 1:
-        raise UndeterminedError(
-            "horizon too short to decompose",
-            trace_profile=list(matrix.trace_profile(max(h, 0))),
-        )
+    h = matrix._require_horizon("horizon too short to decompose")
     current = matrix.restricted(h)
     for m in range(h):
         following = current.sliced()
@@ -507,7 +516,7 @@ def gram_positivity_check(matrix: BlockOperatorMatrix,
     checked = []
     for elements in element_sets:
         g = gram_matrix(matrix, elements)
-        g = 0.5 * (g + g.conj().T)
+        g = 0.5 * g + 0.5 * g.conj().T
         checked.append((_min_eigenvalue(g), g))
     return _psd_verdict(checked, tol_scale)
 

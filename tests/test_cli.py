@@ -67,6 +67,12 @@ def geometric_file(tmp_path, depth=4):
     return write_json(tmp_path / "geometric.json", handle.to_payload())
 
 
+def big_file(tmp_path, levels=(0,), entry=1e308):
+    """n=1, K=1 state with ``entry`` on the diagonal blocks of ``levels``."""
+    blocks = [{"i": k, "j": k, "entries": [[entry, 0.0]]} for k in levels]
+    return write_json(tmp_path / "big.json", {"n": 1, "K": 1, "blocks": blocks})
+
+
 def sequence_file(tmp_path, rng, prefix_len=1, cycle_len=2):
     seq = random_sequence(rng, N, prefix_len, cycle_len)
     return write_json(tmp_path / "seq.json", seq.to_payload()), seq
@@ -128,6 +134,14 @@ class TestEval:
         assert captured.err.startswith("error: ")
         assert "Traceback" not in captured.err
 
+    def test_overflowing_value_is_input_error(self, tmp_path, capsys):
+        assert main(["eval", big_file(tmp_path), "1"]) == 0
+        assert capsys.readouterr().out == "1e+308 0\n"
+        assert main(["eval", big_file(tmp_path), "10"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: the value overflows")
+
     def test_letter_out_of_range_is_input_error(self, tmp_path):
         state = vacuum_file(tmp_path)
         assert main(["eval", state, "v7"]) == 2
@@ -188,6 +202,28 @@ class TestCheck:
         state = geometric_file(tmp_path)
         assert main(["check", state, "--what", "essential"]) == 4
         assert "undetermined" in capsys.readouterr().out
+
+    def test_largest_entries_pass_positivity(self, tmp_path, capsys):
+        assert main(["check", big_file(tmp_path), "--what", "positivity"]) == 0
+        cert = json.loads(capsys.readouterr().out.split("\n", 1)[1])
+        assert cert["min_eigenvalues"] == [1e308, 0.0]
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_overflowing_certificate_is_input_error(self, tmp_path, capsys):
+        # The level-1 corner's trace, 3e308, overflows its tolerance.
+        state = big_file(tmp_path, levels=(0, 1), entry=1.5e308)
+        assert main(["check", state, "--what", "positivity"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert "Traceback" not in captured.err
+
+    def test_decreasing_at_horizon_zero_is_exit_four(self, tmp_path, capsys):
+        state = vacuum_file(tmp_path, depth=0)
+        assert main(["check", state, "--what", "decreasing"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "horizon too short" in captured.err
 
     def test_tolerance_override(self, tmp_path):
         # a loose tolerance accepts the slightly negative corner

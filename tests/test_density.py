@@ -18,7 +18,8 @@ from fockstate.density import (
     state_eval,
     trace_profile_csv,
 )
-from fockstate.errors import HorizonError, SchemaError, UndeterminedError
+from fockstate.errors import (CoefficientRangeError, HorizonError, SchemaError,
+                              UndeterminedError)
 from fockstate.fock import (
     FockContext,
     FockOperator,
@@ -30,7 +31,7 @@ from fockstate.fock import (
     zero_vector,
 )
 from fockstate.measures import CircleMeasure
-from fockstate.product_states import extend, rephase
+from fockstate.product_states import UnitVectorSequence, extend, rephase
 from fockstate.word_algebra import AlgebraElement, parse_expression
 from helpers import random_element, random_sequence, random_unit_vector
 
@@ -325,6 +326,21 @@ class TestPositivity:
         assert result.min_eigenvalues[0] == 1.0
         assert np.isnan(result.min_eigenvalues[1])
 
+    def test_largest_entries_do_not_overflow(self):
+        # Symmetrizing as 0.5 * (m + m^H) overflowed 1e308 + 1e308 to inf.
+        mat = BlockOperatorMatrix(FockContext(1, 1), {(0, 0): np.array([[1e308 + 0j]])})
+        result = mat.is_positive()
+        assert result.ok
+        assert result.min_eigenvalues == (1e308, 0.0)
+        assert gram_positivity_check(mat, [[AlgebraElement.one(1)]]).ok
+
+    def test_decreasing_needs_horizon_one(self):
+        # At horizon 0 no corner of (self - sliced) is left to check.
+        mat = BlockOperatorMatrix.vacuum(FockContext(2, 0))
+        with pytest.raises(UndeterminedError) as exc:
+            mat.is_decreasing()
+        assert exc.value.trace_profile == [1.0]
+
 
 class TestClassify:
     def test_essential(self):
@@ -401,6 +417,39 @@ class TestDecompose:
         assert result.essential.max_abs(level_limit=5) <= 1e-12
         assert result.singular.max_abs_diff(sing, level_limit=5) <= 1e-12
 
+    def test_walks_each_diagonal_once(self, monkeypatch):
+        # The n=1 point mass stores all (K+1)^2 rank-one blocks; building
+        # every sliced iterate of it took 22 140 partial traces at K=40.
+        seq = UnitVectorSequence(1, [], [np.ones(1)])
+        mat = extend(seq, CircleMeasure.point_mass(0.7), 40).matrix
+        calls = []
+        ptrace_last = Rank1Block.ptrace_last
+
+        def counting(block, n, splits=None):
+            calls.append(block)
+            return ptrace_last(block, n, splits)
+
+        monkeypatch.setattr(Rank1Block, "ptrace_last", counting)
+        decompose(mat)
+        assert len(calls) <= 2 * len(mat.blocks)
+
+    def test_essential_part_of_mixtures_is_essential(self):
+        rng = np.random.default_rng(SEED + 35)
+        for trial in range(12):
+            n = 1 + trial % 3
+            ctx = FockContext(n, (8, 5, 3)[n - 1])
+            seqs = [rephase(random_sequence(rng, n, trial % 2, 1 + k % 3))
+                    for k in (trial, trial + 1)]
+            first = extend(seqs[0], CircleMeasure.point_mass(rng.uniform(0, 6)), ctx.depth)
+            second = extend(seqs[1], CircleMeasure.haar(), ctx.depth)
+            vec = fock_vector_state(ctx, random_fock_vector(rng, ctx, ctx.depth - 2))
+            w = rng.dirichlet(np.ones(3))
+            ess = decompose(w[0] * first.matrix + w[1] * second.matrix + w[2] * vec).essential
+            assert ess.trace() == pytest.approx(w[0] + w[1], abs=1e-12)
+            assert classify(ess).label == "essential"
+            # Bit for bit: each block below the top is the slice of the one above.
+            assert ess.sliced().to_payload() == ess.restricted(ctx.depth - 1).to_payload()
+
     def test_undetermined_raises_with_profile(self):
         ctx = FockContext(2, 4)
         blocks = {(k, k): 0.5 ** k / ctx.dim(k) * np.eye(ctx.dim(k), dtype=complex)
@@ -460,6 +509,21 @@ class TestGram:
         assert value.real == pytest.approx(eigs[0], abs=1e-10)
         result = gram_positivity_check(mat, [[x]])
         assert not result.ok
+
+
+class TestStateEvalOverflow:
+    BIG = {(0, 0): np.array([[1e308 + 0j]]), (1, 1): np.array([[1e308 + 0j]])}
+
+    @pytest.mark.parametrize("expression", ["10", "10 - 10 v1 v1*"])
+    def test_overflowing_value_raises(self, expression):
+        mat = BlockOperatorMatrix(FockContext(1, 1), self.BIG)
+        assert state_eval(mat, AlgebraElement.one(1)) == 1e308
+        with pytest.raises(CoefficientRangeError):
+            state_eval(mat, parse_expression(expression, 1))
+
+    def test_non_finite_state_gives_nan(self):
+        mat = BlockOperatorMatrix(FockContext(2, 1), {(0, 0): np.array([[np.nan + 0j]])})
+        assert np.isnan(state_eval(mat, AlgebraElement.one(2)))
 
 
 class TestGramNaN:

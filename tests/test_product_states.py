@@ -666,3 +666,19 @@ def test_gauge_moves_point_mass_extensions_around_the_circle(sequence, theta, ph
                             np.exp(1j * phi))
     target = extend(seq, CircleMeasure.point_mass(theta + p * phi), depth)
     assert moved.matrix.max_abs_diff(target.matrix) <= 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(rephased_sequences(), st.integers(0, 2**32 - 1), st.floats(0.0, 2 * np.pi),
+       st.floats(0.0, 1.0))
+def test_slice_commutes_with_the_gauge(sequence, seed, phi, t):
+    seq, _, depth = sequence
+    rng = np.random.default_rng(seed)
+    other = rephase(random_sequence(rng, seq.n, int(rng.integers(0, 3)),
+                                    int(rng.integers(1, 4))))
+    first = extend(seq, random_measure(rng), depth).matrix
+    second = extend(other, random_measure(rng), depth).matrix
+    lam = np.exp(1j * phi)
+    for state in (first, t * first + (1 - t) * second):
+        moved = gauge_transform(state, lam).sliced()
+        assert moved.max_abs_diff(gauge_transform(state.sliced(), lam)) <= 1e-12
