@@ -427,12 +427,11 @@ def state_eval(matrix: BlockOperatorMatrix, element: AlgebraElement) -> complex:
         raise AlphabetMismatchError(
             f"element over alphabet of size {element.n}, state has {matrix.ctx.n}"
         )
-    total, finite = 0j, True
+    total = 0j
     for (mu, nu), coeff in element.terms.items():
-        value = matrix.monomial_value(mu, nu)
-        finite = finite and np.isfinite(value)
-        total += coeff * value
-    if finite and not np.isfinite(total):
+        total += coeff * matrix.monomial_value(mu, nu)
+    if not np.isfinite(total) and np.isfinite(
+            [matrix.monomial_value(mu, nu) for mu, nu in element.terms]).all():
         raise CoefficientRangeError(f"the value overflows to {total}")
     return total
 

@@ -135,9 +135,10 @@ class TestEval:
         assert "Traceback" not in captured.err
 
     def test_overflowing_value_is_input_error(self, tmp_path, capsys):
-        assert main(["eval", big_file(tmp_path), "1"]) == 0
+        state = big_file(tmp_path)
+        assert main(["eval", state, "1"]) == 0
         assert capsys.readouterr().out == "1e+308 0\n"
-        assert main(["eval", big_file(tmp_path), "10"]) == 2
+        assert main(["eval", state, "10"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: the value overflows")
