@@ -45,6 +45,8 @@ from .product_states import (
 )
 from .word_algebra import parse_expression
 
+_OVERFLOW = "the state's entries overflow: a result is not a finite number"
+
 
 def _load_json(path: str):
     try:
@@ -56,14 +58,18 @@ def _load_json(path: str):
         raise SchemaError(f"{path} is not valid JSON: {exc}") from None
 
 
-def _dump_json(payload, path: str) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True)
+def _json_text(payload) -> str:
+    """Indented JSON with sorted keys.  A NaN or an infinity can only come
+    from entries whose arithmetic overflows, so it is an input error."""
+    try:
+        return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError:
+        raise CoefficientRangeError(_OVERFLOW) from None
+
+
+def _write(path: str, text: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text + "\n")
-
-
-def _print_json(payload) -> None:
-    print(json.dumps(payload, indent=2, sort_keys=True))
 
 
 def _format_real(x: float) -> str:
@@ -85,37 +91,29 @@ def _cmd_check(args) -> int:
     if args.what in ("positivity", "decreasing"):
         check = matrix.is_positive if args.what == "positivity" else matrix.is_decreasing
         result = check(tol if tol is not None else PSD_TOL_SCALE)
-        if not np.isfinite(result.min_eigenvalues + result.tolerances).all():
-            raise CoefficientRangeError("the state's entries overflow the corner checks")
         verdict = "pass" if result.ok else "fail"
-        print(f"{args.what}: {verdict}")
-        _print_json(
-            {
-                "check": args.what,
-                "ok": result.ok,
-                "min_eigenvalues": list(result.min_eigenvalues),
-                "tolerances": list(result.tolerances),
-            }
-        )
-        return 0 if result.ok else 1
-
-    outcome = classify(matrix, tol if tol is not None else EQUALITY_TOL)
-    if outcome.label == "undetermined":
-        verdict = "undetermined"
+        certificate = {
+            "check": args.what,
+            "ok": result.ok,
+            "min_eigenvalues": list(result.min_eigenvalues),
+            "tolerances": list(result.tolerances),
+        }
     else:
-        verdict = "pass" if outcome.label == args.what else "fail"
-    print(f"{args.what}: {verdict}")
-    _print_json(
-        {
+        outcome = classify(matrix, tol if tol is not None else EQUALITY_TOL)
+        if outcome.label == "undetermined":
+            verdict = "undetermined"
+        else:
+            verdict = "pass" if outcome.label == args.what else "fail"
+        certificate = {
             "check": args.what,
             "ok": verdict == "pass",
             "classification": outcome.label,
             "trace_profile": [float(x) for x in outcome.trace_profile],
         }
-    )
-    if verdict == "undetermined":
-        return 4
-    return 0 if verdict == "pass" else 1
+    text = _json_text(certificate)
+    print(f"{args.what}: {verdict}")
+    print(text)
+    return {"pass": 0, "fail": 1, "undetermined": 4}[verdict]
 
 
 def _cmd_extend(args) -> int:
@@ -126,8 +124,8 @@ def _cmd_extend(args) -> int:
     ]
     p = period(seq)
     handle = extend(rephase(seq, p), measure, args.depth)
-    _dump_json(handle.to_payload(), args.out)
-    _print_json(
+    _write(args.out, _json_text(handle.to_payload()))
+    print(_json_text(
         {
             "classification": handle.classification,
             "depth": args.depth,
@@ -136,7 +134,7 @@ def _cmd_extend(args) -> int:
             "unique_extension": False,
             "warnings": warnings,
         }
-    )
+    ))
     return 0
 
 
@@ -144,22 +142,19 @@ def _cmd_decompose(args) -> int:
     handle = StateHandle.from_payload(_load_json(args.state))
     tol = args.tolerance if args.tolerance is not None else EQUALITY_TOL
     result = decompose(handle.matrix, tol)
+    if not np.isfinite(handle.matrix.trace_profile()).all():  # the CSV is not JSON
+        raise CoefficientRangeError(_OVERFLOW)
     paths = {
         "essential": f"{args.out_prefix}.essential.json",
         "singular": f"{args.out_prefix}.singular.json",
         "profile": f"{args.out_prefix}.profile.csv",
     }
-    _dump_json(
-        StateHandle(result.essential, "essential").to_payload(),
-        paths["essential"],
-    )
-    _dump_json(
-        StateHandle(result.singular, "singular").to_payload(),
-        paths["singular"],
-    )
-    with open(paths["profile"], "w", encoding="utf-8") as fh:
-        fh.write(trace_profile_csv(handle.matrix) + "\n")
-    _print_json(
+    texts = {
+        "essential": _json_text(StateHandle(result.essential, "essential").to_payload()),
+        "singular": _json_text(StateHandle(result.singular, "singular").to_payload()),
+        "profile": trace_profile_csv(handle.matrix),
+    }
+    report = _json_text(
         {
             "essential_mass": result.essential.trace(),
             "out": paths,
@@ -167,6 +162,9 @@ def _cmd_decompose(args) -> int:
             "stabilization_step": result.stabilization_step,
         }
     )
+    for part, text in texts.items():
+        _write(paths[part], text)
+    print(report)
     return 0
 
 
@@ -256,21 +254,20 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # The checks report overflow as input errors; numpy's warnings are noise.
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except HorizonError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except UndeterminedError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        if exc.trace_profile is not None:
-            print(
-                f"observed trace profile: {exc.trace_profile}", file=sys.stderr
-            )
+        print(f"observed trace profile: {exc.trace_profile}", file=sys.stderr)
         return 4
     except np.linalg.LinAlgError as exc:
         # A ValueError subclass, but a failed solver, not malformed input.
         return _internal_error(exc)
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:

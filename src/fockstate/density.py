@@ -159,8 +159,7 @@ class BlockOperatorMatrix(BlockMatrix):
 
     @classmethod
     def from_blocks(cls, ctx: FockContext, blocks: dict,
-                    horizon: int | None = None,
-                    hermitian_tol: float = HERMITIAN_TOL) -> "BlockOperatorMatrix":
+                    horizon: int | None = None) -> "BlockOperatorMatrix":
         """Build from possibly one-sided data, completing and checking the
         Hermitian mirror blocks."""
         full = dict(blocks)
@@ -169,7 +168,7 @@ class BlockOperatorMatrix(BlockMatrix):
             if mirror not in full:
                 full[mirror] = _conj_transpose(block)
         mat = cls(ctx, full, horizon)
-        if not mat.is_hermitian(hermitian_tol):
+        if not mat.is_hermitian():
             raise ValueError("blocks are not Hermitian-consistent")
         return mat
 
@@ -204,10 +203,9 @@ class BlockOperatorMatrix(BlockMatrix):
         """Value on v_mu v_nu^* for explicit words."""
         mu, nu = tuple(mu), tuple(nu)
         i, j = len(nu), len(mu)
-        limit = min(self.horizon, self.ctx.depth)
-        if i > limit or j > limit:
+        if i > self.horizon or j > self.horizon:
             raise HorizonError(
-                f"monomial needs level {max(i, j)}, horizon is {limit}"
+                f"monomial needs level {max(i, j)}, horizon is {self.horizon}"
             )
         return self.entry(i, j, self.ctx.word_index(nu), self.ctx.word_index(mu))
 
@@ -252,15 +250,13 @@ class BlockOperatorMatrix(BlockMatrix):
         The result's block (i, j) comes from block (i+1, j+1), so the top
         level is lost and the horizon drops by one.
         """
-        ctx = self.ctx
-        n = ctx.n
+        n = self.ctx.n
         blocks, splits = {}, {}
         for (i, j), blk in self.blocks.items():
             if i == 0 or j == 0:
                 continue
-            blocks[(i - 1, j - 1)] = _ptrace_last(
-                blk, n, ctx.dim(i - 1), ctx.dim(j - 1), splits)
-        return BlockOperatorMatrix(ctx, blocks, self.horizon - 1)
+            blocks[(i - 1, j - 1)] = _ptrace_last(blk, n, splits)
+        return BlockOperatorMatrix(self.ctx, blocks, self.horizon - 1)
 
     def restricted(self, level_limit: int) -> "BlockOperatorMatrix":
         """Keep only blocks with both levels <= level_limit."""
@@ -281,12 +277,12 @@ class BlockOperatorMatrix(BlockMatrix):
             level_limit = min(self.horizon, other.horizon)
         return self._max_diff(other, lambda i, j: max(i, j) <= level_limit)
 
-    def is_hermitian(self, tol: float = HERMITIAN_TOL) -> bool:
-        """Every block within tol of the conjugate transpose of its mirror;
-        mirrored rank-one blocks are compared from their factors."""
+    def is_hermitian(self) -> bool:
+        """Every block within HERMITIAN_TOL of the conjugate transpose of its
+        mirror; mirrored rank-one blocks are compared from their factors."""
         mirrored = BlockMatrix(self.ctx, {(j, i): _conj_transpose(blk)
                                           for (i, j), blk in self.blocks.items()})
-        return self._max_diff(mirrored, lambda i, j: True) <= tol
+        return self._max_diff(mirrored, lambda i, j: True) <= HERMITIAN_TOL
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -299,8 +295,8 @@ class BlockOperatorMatrix(BlockMatrix):
 
     # -- positivity ------------------------------------------------------------
 
-    def _compressed(self, level_limit: int) -> tuple[np.ndarray, list[int]]:
-        """The matrix on levels 0..level_limit as M = Q^H Omega Q.
+    def _compressed(self) -> tuple[np.ndarray, list[int]]:
+        """The matrix on levels 0..horizon as M = Q^H Omega Q.
 
         Q is block diagonal with one block of orthonormal columns per level:
         none for a level without stored blocks, a basis of the distinct
@@ -308,10 +304,10 @@ class BlockOperatorMatrix(BlockMatrix):
         otherwise.  Every corner of Omega is Q M Q^H on the leading rows of
         M, so it has the eigenvalues of that part of M plus zeros.  Returns
         M and the offsets of the levels' rows in it.  When every level gets
-        the identity, M is exactly ``corner(level_limit)``.
+        the identity, M is exactly ``corner(horizon)``.
         """
         inside = {key: blk for key, blk in self.blocks.items()
-                  if max(key) <= level_limit}
+                  if max(key) <= self.horizon}
         factors = {}
         dense_levels = set()
         for (i, j), blk in inside.items():
@@ -321,7 +317,7 @@ class BlockOperatorMatrix(BlockMatrix):
             else:
                 dense_levels.update((i, j))
         bases, offsets = {}, [0]
-        for level in range(level_limit + 1):
+        for level in range(self.horizon + 1):
             dim = self.ctx.dim(level)
             vectors = factors.get(level, {})
             if level in dense_levels or len(vectors) >= dim:
@@ -344,8 +340,7 @@ class BlockOperatorMatrix(BlockMatrix):
                 out[rows, cols] = blk
         return out, offsets
 
-    def is_positive(self, tol_scale: float = PSD_TOL_SCALE,
-                    level_limit: int | None = None) -> CheckResult:
+    def is_positive(self, tol_scale: float = PSD_TOL_SCALE) -> CheckResult:
         """Check every corner up to the horizon for positive semidefiniteness.
 
         Each corner is allowed eigenvalues down to -tol_scale * max(1, trace).
@@ -353,14 +348,10 @@ class BlockOperatorMatrix(BlockMatrix):
         so the cost follows the stored levels and the rank of their blocks
         rather than the corner's n^k rows.
         """
-        if level_limit is None:
-            level_limit = self.horizon
-        if level_limit > self.ctx.depth:
-            raise ValueError(f"corner {level_limit} outside depth {self.ctx.depth}")
-        compressed, offsets = self._compressed(level_limit)
+        compressed, offsets = self._compressed()
         compressed = 0.5 * compressed + 0.5 * compressed.conj().T
         checked = []
-        for k in range(level_limit + 1):
+        for k in range(self.horizon + 1):
             rank = offsets[k + 1]
             corner = compressed[:rank, :rank]
             lowest = _min_eigenvalue(corner) if rank else 0.0
@@ -375,7 +366,7 @@ class BlockOperatorMatrix(BlockMatrix):
         :class:`UndeterminedError` below horizon 1, where no corner is left."""
         self._require_horizon("horizon too short to compare the state with its slice")
         diff = self.restricted(self.horizon - 1) - self.sliced()
-        return diff.is_positive(tol_scale, level_limit=self.horizon - 1)
+        return diff.is_positive(tol_scale)
 
 
 def fock_vector_state(ctx: FockContext, phi) -> BlockOperatorMatrix:
@@ -451,7 +442,7 @@ def classify(matrix: BlockOperatorMatrix, tol: float = EQUALITY_TOL) -> Classify
     total = profile[0]
     scale_tol = tol * max(1.0, abs(total))
     if max(abs(p - total) for p in profile) <= scale_tol:
-        slice_diff = matrix.sliced().max_abs_diff(matrix, level_limit=h - 1)
+        slice_diff = matrix.sliced().max_abs_diff(matrix)
         if slice_diff <= tol:
             return ClassifyResult("essential", profile)
     if profile[-1] <= scale_tol:
@@ -478,7 +469,7 @@ def decompose(matrix: BlockOperatorMatrix,
     current = matrix.restricted(h)
     for m in range(h):
         following = current.sliced()
-        if following.max_abs_diff(current, level_limit=h - (m + 1)) <= tol:
+        if following.max_abs_diff(current) <= tol:
             break
         current = following
     else:
@@ -509,15 +500,14 @@ def gram_matrix(matrix: BlockOperatorMatrix,
 
 
 def gram_positivity_check(matrix: BlockOperatorMatrix,
-                          element_sets: list[list[AlgebraElement]],
-                          tol_scale: float = PSD_TOL_SCALE) -> CheckResult:
+                          element_sets: list[list[AlgebraElement]]) -> CheckResult:
     """Positive semidefiniteness of the Gram matrix of each element set."""
     checked = []
     for elements in element_sets:
         g = gram_matrix(matrix, elements)
         g = 0.5 * g + 0.5 * g.conj().T
         checked.append((_min_eigenvalue(g), g))
-    return _psd_verdict(checked, tol_scale)
+    return _psd_verdict(checked, PSD_TOL_SCALE)
 
 
 def trace_profile_csv(matrix: BlockOperatorMatrix) -> str:

@@ -37,9 +37,9 @@ class UndeterminedError(FockstateError):
     Carries the trace profile that was observed so callers can report it.
     """
 
-    def __init__(self, message: str, trace_profile=None):
+    def __init__(self, message: str, trace_profile):
         super().__init__(message)
-        self.trace_profile = list(trace_profile) if trace_profile is not None else None
+        self.trace_profile = list(trace_profile)
 
 
 class InsufficientMomentsError(FockstateError, ValueError):

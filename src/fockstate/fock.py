@@ -147,18 +147,6 @@ class Rank1Block:
     def dense(self) -> np.ndarray:
         return self.coeff * np.outer(self.left, self.right.conj())
 
-    def entry(self, a: int, b: int) -> complex:
-        return self.coeff * self.left[a] * np.conj(self.right[b])
-
-    def scaled(self, c: complex) -> "Rank1Block":
-        return Rank1Block(self.coeff * c, self.left, self.right)
-
-    def conj_transpose(self) -> "Rank1Block":
-        return Rank1Block(np.conj(self.coeff), self.right, self.left)
-
-    def trace(self) -> complex:
-        return self.coeff * complex(np.vdot(self.right, self.left))
-
     def ptrace_last(self, n: int, splits: dict | None = None):
         """Partial trace over the last tensor factor.
 
@@ -240,32 +228,32 @@ def _dense(block) -> np.ndarray:
 
 def _entry(block, a: int, b: int) -> complex:
     if isinstance(block, Rank1Block):
-        return complex(block.entry(a, b))
+        return complex(block.coeff * block.left[a] * np.conj(block.right[b]))
     return complex(block[a, b])
 
 
 def _scaled(block, c: complex):
     if isinstance(block, Rank1Block):
-        return block.scaled(c)
+        return Rank1Block(block.coeff * c, block.left, block.right)
     return c * block
 
 
 def _conj_transpose(block):
     if isinstance(block, Rank1Block):
-        return block.conj_transpose()
+        return Rank1Block(np.conj(block.coeff), block.right, block.left)
     return block.conj().T
 
 
 def _block_trace(block) -> complex:
     if isinstance(block, Rank1Block):
-        return complex(block.trace())
+        return complex(block.coeff * complex(np.vdot(block.right, block.left)))
     return complex(np.trace(block))
 
 
-def _ptrace_last(block, n: int, rows: int, cols: int, splits: dict):
+def _ptrace_last(block, n: int, splits: dict):
     if isinstance(block, Rank1Block):
         return block.ptrace_last(n, splits)
-    return np.trace(block.reshape(rows, n, cols, n), axis1=1, axis2=3)
+    return np.trace(block.reshape(block.shape[0] // n, n, -1, n), axis1=1, axis2=3)
 
 
 class BlockMatrix:
@@ -651,6 +639,8 @@ def _blocks_from_payload(payload: dict, rank_one: bool = False):
         coeff = _sized_entries([values[2]], 1, f"the coefficient of block ({i},{j})")
         left = _sized_entries(values[3], rows, f"the left factor of block ({i},{j})")
         right = _sized_entries(values[4], cols, f"the right factor of block ({i},{j})")
+        if not np.isfinite(abs(coeff[0]) * np.abs(left).max() * np.abs(right).max()):
+            raise SchemaError(f"block ({i},{j}) has entries beyond the float range")
         blocks[(i, j)] = Rank1Block(complex(coeff[0]),
                                     factors.setdefault(left.tobytes(), left),
                                     factors.setdefault(right.tobytes(), right))
@@ -750,20 +740,16 @@ def shift_defect(op: FockOperator) -> FockOperator:
     return op - shift(op)
 
 
-def shift_series(op: FockOperator, terms: int | None = None) -> FockOperator:
+def shift_series(op: FockOperator) -> FockOperator:
     """Sum of all iterated shifts that fit in the truncation.
 
     For finitely supported input this inverts the defect map: the series of
     the defect, and the defect of the series, both reproduce the input on
     every stored block.
     """
-    if terms is None:
-        terms = op.ctx.depth + 1
-    if terms < 1:
-        raise ValueError(f"need at least one term, got {terms}")
     acc = op
     cur = op
-    for _ in range(terms - 1):
+    for _ in range(op.ctx.depth):
         cur = shift(cur)
         if not cur.blocks:
             break

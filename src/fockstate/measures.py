@@ -41,8 +41,6 @@ __all__ = [
 
 def _canonical_angle(angle: float) -> float:
     angle = float(angle) % TWO_PI
-    if angle < 0:
-        angle += TWO_PI
     if angle >= TWO_PI:
         angle -= TWO_PI
     return angle
@@ -207,18 +205,17 @@ class HerglotzResult:
     min_eigenvalue: float
 
 
-def herglotz_check(moments: MomentSequence,
-                   tol: float = HERGLOTZ_TOL) -> HerglotzResult:
+def herglotz_check(moments: MomentSequence) -> HerglotzResult:
     """Positive definiteness of the moment window's Toeplitz matrix.
 
     A window extends to a positive measure exactly when every such matrix
     is positive semidefinite; numerically we allow eigenvalues down to
-    ``-tol``.
+    ``-HERGLOTZ_TOL``.
     """
     if moments.window < 1:
         raise ValueError("need a window of size at least 1")
     eigs = np.linalg.eigvalsh(moments.toeplitz())
-    return HerglotzResult(bool(eigs[0] >= -tol), float(eigs[0]))
+    return HerglotzResult(bool(eigs[0] >= -HERGLOTZ_TOL), float(eigs[0]))
 
 
 def atomic_from_moments(moments: MomentSequence) -> CircleMeasure:

@@ -118,7 +118,7 @@ class UnitVectorSequence:
             raise SchemaError(str(exc)) from None
 
 
-def period(seq: UnitVectorSequence, tol: float = PERIOD_TOL) -> int:
+def period(seq: UnitVectorSequence) -> int:
     """Smallest p with |<e_i, e_{i+p}>| = 1 for every i beyond the prefix.
 
     Candidates run up to the cycle length; the pattern of slot pairs
@@ -130,7 +130,7 @@ def period(seq: UnitVectorSequence, tol: float = PERIOD_TOL) -> int:
     start = seq.prefix_len + 1
     for p in range(1, seq.cycle_len):
         if all(
-            abs(abs(seq.overlap(i, i + p)) - 1.0) <= tol
+            abs(abs(seq.overlap(i, i + p)) - 1.0) <= PERIOD_TOL
             for i in range(start, start + seq.cycle_len)
         ):
             return p
@@ -162,14 +162,14 @@ def rephase(seq: UnitVectorSequence, p: int | None = None) -> "UnitVectorSequenc
     )
 
 
-def is_rephased(seq: UnitVectorSequence, p: int, tol: float = REPHASE_TOL) -> bool:
+def is_rephased(seq: UnitVectorSequence, p: int) -> bool:
     """True when the cycle length is p and every <e_i, e_{i+p}> is
-    real and nonnegative within tol."""
+    real and nonnegative within REPHASE_TOL."""
     if seq.cycle_len != int(p):
         return False
     for i in range(1, seq.prefix_len + seq.cycle_len + 1):
         c = seq.overlap(i, i + int(p))
-        if abs(c.imag) > tol or c.real < -tol:
+        if abs(c.imag) > REPHASE_TOL or c.real < -REPHASE_TOL:
             return False
     return True
 
@@ -313,10 +313,10 @@ def recover_measure_moments(
         raise ValueError("need p >= 1 and a_max >= 0")
     P = seq.prefix_len
     need = P + a_max * p
-    limit = min(matrix.horizon, matrix.ctx.depth)
-    if need > limit:
+    if need > matrix.horizon:
         raise HorizonError(
-            f"moments up to order {a_max} need level {need}, horizon is {limit}"
+            f"moments up to order {a_max} need level {need}, "
+            f"horizon is {matrix.horizon}"
         )
     tensors = elementary_tensors(seq, need)
     one_sided = []

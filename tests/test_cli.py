@@ -209,7 +209,7 @@ class TestCheck:
         cert = json.loads(capsys.readouterr().out.split("\n", 1)[1])
         assert cert["min_eigenvalues"] == [1e308, 0.0]
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_certificate_is_input_error(self, tmp_path, capsys):
         # The level-1 corner's trace, 3e308, overflows its tolerance.
         state = big_file(tmp_path, levels=(0, 1), entry=1.5e308)
@@ -268,6 +268,16 @@ class TestRejectsBadNumbers:
         text = self.NAN_STATE.replace("[NaN,0.0]", "[true,false]")
         assert main(["check", self.state(tmp_path, text), "--what", "positivity"]) == 2
 
+    def test_overflowing_factored_block_is_input_error(self, tmp_path, capsys):
+        # Finite numbers whose product, the block's entry, overflows.
+        blocks = [{"i": 0, "j": 0, "coeff": [1e308, 0.0],
+                   "left": [[0.0, 2.0]], "right": [[0.0, 2.0]]}]
+        state = write_json(tmp_path / "state.json", {"n": 1, "K": 0, "blocks": blocks})
+        assert main(["eval", state, "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: block (0,0) has entries beyond the float range\n"
+
 
 class TestExactHorizon:
     """``exact_horizon`` must be an integer in 0..K; otherwise the checks
@@ -284,6 +294,25 @@ class TestExactHorizon:
     def test_full_horizon_fails_positivity(self, tmp_path):
         state = self.state(tmp_path, {"exact_horizon": 1})
         assert main(["check", state, "--what", "positivity"]) == 1
+
+    def test_horizon_zero_checks_one_corner(self, tmp_path, capsys):
+        state = self.state(tmp_path, {"exact_horizon": 0})
+        assert main(["check", state, "--what", "positivity"]) == 0
+        cert = json.loads(capsys.readouterr().out.split("\n", 1)[1])
+        assert cert["min_eigenvalues"] == [1.0]
+        assert len(cert["tolerances"]) == 1
+
+    def test_corner_count_follows_the_horizon(self, tmp_path, capsys):
+        # K = 2 stored, horizon 1: positivity checks corners 0..1, and the
+        # state minus its slice has horizon 0, so decreasing checks corner 0.
+        payload = json.loads(open(coherent_file(tmp_path, depth=2)).read())
+        payload["metadata"]["exact_horizon"] = 1
+        state = write_json(tmp_path / "h1.json", payload)
+        for what, corners in (("positivity", 2), ("decreasing", 1)):
+            assert main(["check", state, "--what", what]) == 0
+            cert = json.loads(capsys.readouterr().out.split("\n", 1)[1])
+            assert len(cert["min_eigenvalues"]) == corners
+            assert len(cert["tolerances"]) == corners
 
     @pytest.mark.parametrize("horizon", [-1, True, 2, 1.0])
     def test_bad_horizon_is_input_error(self, tmp_path, capsys, horizon):
@@ -536,6 +565,38 @@ class TestDecompose:
         prefix = str(tmp_path / "parts")
         assert main(["decompose", state, "--out-prefix", prefix]) == 4
         assert "trace profile" in capsys.readouterr().err
+
+    def assert_input_error_without_files(self, tmp_path, capsys, payload):
+        state = write_json(tmp_path / "state.json", payload)
+        assert main(["decompose", state, "--out-prefix", str(tmp_path / "parts")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert "Traceback" not in captured.err
+        assert not list(tmp_path.glob("parts.*"))
+
+    def test_overflowing_profile_is_input_error(self, tmp_path, capsys):
+        # 1e308 times the product state of e1, plus 1e308 on the word 2:
+        # both parts are finite, but the input's level-1 trace overflows.
+        blocks = []
+        for i in range(5):
+            for j in range(5):
+                entries = [[0.0, 0.0]] * (N**i * N**j)
+                entries[0] = [1e308, 0.0]
+                if (i, j) == (1, 1):
+                    entries[3] = [1e308, 0.0]
+                blocks.append({"i": i, "j": j, "entries": entries})
+        self.assert_input_error_without_files(
+            tmp_path, capsys, {"n": N, "K": 4, "blocks": blocks})
+
+    def test_overflowing_sliced_coefficient_is_input_error(self, tmp_path, capsys):
+        # The slice doubles the coefficient to 1.5e308 (1 + i), whose modulus
+        # overflows although both of its parts are finite.
+        block = {"i": 1, "j": 2, "coeff": [0.75e308, 0.75e308],
+                 "left": [[1.0, 0.0]] * 2, "right": [[1.0, 0.0]] * 4}
+        vacuum = {"i": 0, "j": 0, "entries": [[1.0, 0.0]]}
+        self.assert_input_error_without_files(
+            tmp_path, capsys, {"n": N, "K": 2, "blocks": [vacuum, block]})
 
 
 class TestDeterminism:
