@@ -1,7 +1,11 @@
 """Truncated representation: indexing, creations, shift calculus, horizons."""
 
+import operator
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import SEED
 from fockstate.errors import LetterRangeError, SchemaError
@@ -284,6 +288,97 @@ class TestHorizons:
         assert op.horizon == 1
         assert op.adjoint().horizon == 4
         assert op.adjoint().adjoint().horizon == 1
+
+
+# Small exact numbers, so that both depths compute bit-identical entries.
+EXACT_COEFFS = st.sampled_from([1.0, -1.0, 2.0, -0.5, 1j, -1j, 1 + 1j])
+
+_BINARY = {"+": operator.add, "@": operator.matmul}
+_UNARY = {"adjoint": FockOperator.adjoint, "shift": shift}
+
+
+@st.composite
+def fock_expressions(draw, n, depth, height=3):
+    """Recipe of an operator expression: a leaf (``represent``,
+    ``right_create``, ``level_projection``, ``from_blocks`` on levels
+    0..depth), or ``+``, ``@``, ``adjoint``, ``shift`` or a scalar multiple
+    of smaller recipes."""
+    kinds = ["leaf"] + (["+", "@", "adjoint", "shift", "scale"] if height else [])
+    kind = draw(st.sampled_from(kinds))
+    sub = fock_expressions(n, depth, height - 1)
+    if kind in _BINARY:
+        return (kind, draw(sub), draw(sub))
+    if kind in _UNARY:
+        return (kind, draw(sub))
+    if kind == "scale":
+        return (kind, draw(EXACT_COEFFS), draw(sub))
+    leaf = draw(st.sampled_from(["represent", "right_create", "level_projection",
+                                 "from_blocks"]))
+    if leaf == "represent":
+        word = st.lists(st.integers(1, n), max_size=2).map(tuple)
+        terms = draw(st.dictionaries(st.tuples(word, word), EXACT_COEFFS,
+                                     min_size=1, max_size=3))
+        return (leaf, terms)
+    if leaf == "right_create":
+        return (leaf, draw(st.integers(1, n)))
+    if leaf == "level_projection":
+        return (leaf, draw(st.integers(0, depth)))
+    keys = st.tuples(st.integers(0, depth), st.integers(0, depth))
+    return (leaf, draw(st.lists(keys, min_size=1, max_size=2, unique=True)),
+            draw(st.integers(0, 2**32 - 1)))
+
+
+def realize(recipe, ctx):
+    """The operator of a recipe on the truncation ``ctx``."""
+    kind, *args = recipe
+    if kind in _BINARY:
+        return _BINARY[kind](realize(args[0], ctx), realize(args[1], ctx))
+    if kind in _UNARY:
+        return _UNARY[kind](realize(args[0], ctx))
+    if kind == "scale":
+        return args[0] * realize(args[1], ctx)
+    if kind == "represent":
+        return represent(ctx, AlgebraElement(ctx.n, args[0]))
+    if kind == "right_create":
+        return right_create(ctx, args[0])
+    if kind == "level_projection":
+        return FockOperator.level_projection(ctx, args[0])
+    rng = np.random.default_rng(args[1])
+    return FockOperator.from_blocks(ctx, {
+        (i, j): rng.integers(-2, 3, (ctx.dim(i), ctx.dim(j)))
+        + 1j * rng.integers(-2, 3, (ctx.dim(i), ctx.dim(j)))
+        for i, j in args[0]})
+
+
+def excursion(recipe) -> int:
+    """Levels by which the truncated leaves of a recipe can move a word in
+    total.  Intermediate words from levels <= K stay below K + excursion,
+    so a truncation that deep agrees with the untruncated operator there."""
+    kind, *args = recipe
+    if kind == "represent":
+        return max(abs(len(mu) - len(nu)) for mu, nu in args[0])
+    if kind == "right_create":
+        return 1
+    return sum(excursion(arg) for arg in args if isinstance(arg, tuple))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_horizon_columns_match_a_deeper_truncation(data):
+    """Every column up to the horizon is the untruncated operator's column,
+    read off a truncation deep enough to hold every intermediate word."""
+    n = data.draw(st.sampled_from([1, 2]))
+    depth = data.draw(st.integers(0, 3))
+    recipe = data.draw(fock_expressions(n, depth))
+    deep = depth + excursion(recipe)
+    assume(n ** deep <= 128)
+    small = realize(recipe, FockContext(n, depth))
+    big = realize(recipe, FockContext(n, deep))
+    for j in range(small.horizon + 1):
+        for i in range(deep + 1):
+            column = big.block(i, j)
+            expected = small.block(i, j) if i <= depth else np.zeros_like(column)
+            assert np.array_equal(column, expected), (i, j)
 
 
 class TestVectors:
