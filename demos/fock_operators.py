@@ -28,8 +28,8 @@ def main():
     print("total dim     =", ctx.total_dim)
 
     # left_create(ctx, i) prepends letter i; its adjoint strips it again.
-    # Words at the top level have nowhere to go and are annihilated, which
-    # the operator records as a shrinking exact horizon.
+    # Words at the top level have nowhere to go and are annihilated, so l1
+    # is exact only below K minus its raise bound of one: its horizon.
     l1 = left_create(ctx, 1)
     word = basis_vector(ctx, (2, 1))
     lifted = apply_operator(l1, word)

@@ -20,18 +20,20 @@ JSON decoder of the package shares: objects and their keys, integers,
 finite numbers, and [re, im] entry lists.
 
 Truncation loses whatever an operator sends above level K.  Every
-:class:`FockOperator` therefore carries an exact column horizon ``h``: the
+:class:`FockOperator` therefore has an exact column horizon ``h``: the
 stored matrix agrees with the untruncated operator on all columns from
-levels 0..h, and those columns produce nothing above level K.  Arithmetic
-propagates the horizon soundly (never overstating exactness), using band
-bounds on the untruncated operator that each constructor knows.
+levels 0..h, and those columns produce nothing above level K.  An operator
+stores bounds on how many levels it raises and drops a word, and ``exact``:
+the stored matrix *is* the whole operator (nothing was cut).  Then h = K
+for an exact operator and h = max(-1, K - raise_bound) for any other.
 
-Two extra flags refine the bookkeeping.  ``exact`` means the stored matrix
-*is* the whole operator (nothing was cut); ``compression`` means the stored
-matrix equals the untruncated operator compressed to levels <= K on both
-sides.  Compressions are closed under the shift and its relatives, which is
-what makes the shift-series identities hold on every stored block rather
-than only below the horizon.
+Every operator that is not exact is built by ``+``, scalars, ``@``,
+``shift`` and ``adjoint`` from exact operators and compressions P_K X P_K
+(``represent``, ``right_create``).  By induction over these operations its
+column j is exact when j + raise_bound <= K and its row i when
+i + drop_bound <= K; the adjoint swaps the two bounds.  Compressions are
+closed under the shift, which is what makes the shift-series identities
+hold on every stored block rather than only below the horizon.
 """
 
 from __future__ import annotations
@@ -385,31 +387,37 @@ class BlockMatrix:
 
 
 class FockOperator(BlockMatrix):
-    """Block matrix on the truncated Fock space with horizon bookkeeping.
+    """Block matrix on the truncated Fock space with its exact horizon.
 
     ``blocks`` maps (row level, column level) to a dense complex array of
     shape (n^i, n^j); a :class:`Rank1Block` given to the constructor is
-    stored dense.  See the module docstring for the meaning of ``horizon``,
-    ``exact`` and ``compression``.
+    stored dense.  ``raise_bound`` and ``drop_bound`` bound how many levels
+    the operator moves a word up and down; ``exact`` means the stored matrix
+    is the whole operator.  :attr:`horizon` follows from these (see the
+    module docstring).
     """
 
-    __slots__ = ("horizon", "raise_bound", "drop_bound", "exact", "compression")
+    __slots__ = ("raise_bound", "drop_bound", "exact")
 
-    def __init__(self, ctx: FockContext, blocks: dict, horizon: int,
-                 raise_bound: int, drop_bound: int,
-                 exact: bool = False, compression: bool = False):
+    def __init__(self, ctx: FockContext, blocks: dict,
+                 raise_bound: int, drop_bound: int, exact: bool = False):
         super().__init__(ctx, {key: _dense(blk) for key, blk in blocks.items()})
-        self.horizon = max(-1, min(horizon, ctx.depth))
         self.raise_bound = max(0, raise_bound)
         self.drop_bound = max(0, drop_bound)
         self.exact = exact
-        self.compression = compression or exact
+
+    @property
+    def horizon(self) -> int:
+        """Last column level on which the stored matrix is the operator."""
+        if self.exact:
+            return self.ctx.depth
+        return max(-1, self.ctx.depth - self.raise_bound)
 
     # -- constructors --------------------------------------------------
 
     @classmethod
     def zero(cls, ctx: FockContext) -> "FockOperator":
-        return cls(ctx, {}, ctx.depth, 0, 0, exact=True)
+        return cls.from_blocks(ctx, {})
 
     @classmethod
     def identity(cls, ctx: FockContext) -> "FockOperator":
@@ -420,8 +428,7 @@ class FockOperator(BlockMatrix):
         """Orthogonal projection onto the words of length k."""
         if not 0 <= k <= ctx.depth:
             raise ValueError(f"level {k} outside 0..{ctx.depth}")
-        return cls(ctx, {(k, k): np.eye(ctx.dim(k), dtype=complex)},
-                   ctx.depth, 0, 0, exact=True)
+        return cls.from_blocks(ctx, {(k, k): np.eye(ctx.dim(k), dtype=complex)})
 
     @classmethod
     def corner_projection(cls, ctx: FockContext, k: int) -> "FockOperator":
@@ -429,14 +436,14 @@ class FockOperator(BlockMatrix):
         if not 0 <= k <= ctx.depth:
             raise ValueError(f"level {k} outside 0..{ctx.depth}")
         blocks = {(m, m): np.eye(ctx.dim(m), dtype=complex) for m in range(k + 1)}
-        return cls(ctx, blocks, ctx.depth, 0, 0, exact=True)
+        return cls.from_blocks(ctx, blocks)
 
     @classmethod
     def from_blocks(cls, ctx: FockContext, blocks: dict) -> "FockOperator":
         """Wrap explicit blocks as a finitely supported operator."""
         rb = max((i - j for (i, j) in blocks), default=0)
         db = max((j - i for (i, j) in blocks), default=0)
-        return cls(ctx, blocks, ctx.depth, max(0, rb), max(0, db), exact=True)
+        return cls(ctx, blocks, rb, db, exact=True)
 
     # -- inspection ----------------------------------------------------
 
@@ -450,13 +457,10 @@ class FockOperator(BlockMatrix):
     # -- arithmetic ------------------------------------------------------
 
     def __add__(self, other: "FockOperator") -> "FockOperator":
-        return FockOperator(
-            self.ctx, self._sum_blocks(other), min(self.horizon, other.horizon),
-            max(self.raise_bound, other.raise_bound),
-            max(self.drop_bound, other.drop_bound),
-            exact=self.exact and other.exact,
-            compression=self.compression and other.compression,
-        )
+        return FockOperator(self.ctx, self._sum_blocks(other),
+                            max(self.raise_bound, other.raise_bound),
+                            max(self.drop_bound, other.drop_bound),
+                            self.exact and other.exact)
 
     def __neg__(self) -> "FockOperator":
         return (-1.0) * self
@@ -464,11 +468,8 @@ class FockOperator(BlockMatrix):
     def __rmul__(self, scalar) -> "FockOperator":
         if isinstance(scalar, FockOperator):
             return NotImplemented
-        return FockOperator(
-            self.ctx, self._scaled_blocks(scalar),
-            self.horizon, self.raise_bound, self.drop_bound,
-            exact=self.exact, compression=self.compression,
-        )
+        return FockOperator(self.ctx, self._scaled_blocks(scalar),
+                            self.raise_bound, self.drop_bound, self.exact)
 
     def __mul__(self, scalar) -> "FockOperator":
         if isinstance(scalar, FockOperator):
@@ -485,36 +486,15 @@ class FockOperator(BlockMatrix):
                 prod = a @ b
                 key = (i, j)
                 acc[key] = acc[key] + prod if key in acc else prod
-        if self.exact and other.exact:
-            horizon = self.ctx.depth
-        elif self.exact:
-            horizon = other.horizon
-        elif other.exact:
-            horizon = self.horizon - other.raise_bound
-        else:
-            horizon = min(other.horizon, self.horizon - other.raise_bound)
-        return FockOperator(
-            self.ctx, acc, horizon,
-            self.raise_bound + other.raise_bound,
-            self.drop_bound + other.drop_bound,
-            exact=self.exact and other.exact,
-            compression=self.exact and other.exact,
-        )
+        return FockOperator(self.ctx, acc,
+                            self.raise_bound + other.raise_bound,
+                            self.drop_bound + other.drop_bound,
+                            self.exact and other.exact)
 
     def adjoint(self) -> "FockOperator":
         blocks = {(j, i): arr.conj().T for (i, j), arr in self.blocks.items()}
-        if self.exact:
-            horizon = self.ctx.depth
-        elif self.compression:
-            # Adjoint of a two-sided compression is the compression of the
-            # adjoint, which is column-exact until its own raising hits K.
-            horizon = self.ctx.depth - self.drop_bound
-        else:
-            horizon = self.horizon - self.drop_bound
-        return FockOperator(
-            self.ctx, blocks, horizon, self.drop_bound, self.raise_bound,
-            exact=self.exact, compression=self.compression,
-        )
+        return FockOperator(self.ctx, blocks, self.drop_bound, self.raise_bound,
+                            self.exact)
 
     # -- serialization ---------------------------------------------------
 
@@ -667,7 +647,7 @@ def right_create(ctx: FockContext, i: int) -> FockOperator:
         arr = np.zeros((ctx.dim(k + 1), cols.size), dtype=complex)
         arr[cols * ctx.n + (i - 1), cols] = 1.0
         blocks[(k + 1, k)] = arr
-    return FockOperator(ctx, blocks, ctx.depth - 1, 1, 0, compression=True)
+    return FockOperator(ctx, blocks, 1, 0)
 
 
 def represent(ctx: FockContext, element: AlgebraElement) -> FockOperator:
@@ -701,8 +681,7 @@ def represent(ctx: FockContext, element: AlgebraElement) -> FockOperator:
             rows = il * nt + np.arange(nt)
             cols = ir * nt + np.arange(nt)
             blocks[key][rows, cols] += coeff
-    return FockOperator(ctx, blocks, ctx.depth - raise_bound,
-                        raise_bound, drop_bound, compression=True)
+    return FockOperator(ctx, blocks, raise_bound, drop_bound)
 
 
 # ---------------------------------------------------------------------------
@@ -727,12 +706,8 @@ def shift(op: FockOperator) -> FockOperator:
             top_support = True
             continue
         blocks[(i + 1, j + 1)] = np.kron(arr, eye)
-    horizon = min(op.horizon + 1, ctx.depth - op.raise_bound)
-    return FockOperator(
-        ctx, blocks, horizon, op.raise_bound, op.drop_bound,
-        exact=op.exact and not top_support,
-        compression=op.compression,
-    )
+    return FockOperator(ctx, blocks, op.raise_bound, op.drop_bound,
+                        op.exact and not top_support)
 
 
 def shift_defect(op: FockOperator) -> FockOperator:

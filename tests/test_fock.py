@@ -289,6 +289,34 @@ class TestHorizons:
         assert op.adjoint().horizon == 4
         assert op.adjoint().adjoint().horizon == 1
 
+    def test_shift_of_exact_operator(self):
+        # The shift of an exact raising operator stays exact while nothing
+        # reaches level K; a block that falls off the edge leaves a
+        # compression, exact on the columns below K - raise_bound.
+        ctx = FockContext(2, 4)
+        low = FockOperator.from_blocks(ctx, {(1, 0): np.ones((2, 1))})
+        assert shift(low).exact
+        assert shift(low).horizon == 4
+        top = FockOperator.from_blocks(ctx, {(1, 0): np.ones((2, 1)),
+                                             (4, 3): np.ones((16, 8))})
+        assert not shift(top).exact
+        assert shift(top).horizon == 3
+
+    def test_adjoint_reads_the_drop_bound(self):
+        # l1 @ l1 raises by two and drops by none, so its adjoint is exact
+        # on every column.
+        ctx = FockContext(2, 4)
+        l1 = left_create(ctx, 1)
+        assert (l1 @ l1).adjoint().horizon == 4
+
+    def test_exact_raising_factor_on_the_left(self):
+        # e @ l1 agrees with the untruncated product on every column, since
+        # e is the whole operator and kills level K.  The rule reads only
+        # the summed raise bound, so it states the looser horizon K - 2.
+        ctx = FockContext(2, 4)
+        e = FockOperator.from_blocks(ctx, {(2, 1): np.ones((4, 2))})
+        assert (e @ left_create(ctx, 1)).horizon == 2
+
 
 # Small exact numbers, so that both depths compute bit-identical entries.
 EXACT_COEFFS = st.sampled_from([1.0, -1.0, 2.0, -0.5, 1j, -1j, 1 + 1j])
