@@ -190,8 +190,9 @@ def _split_last(vec: np.ndarray, n: int):
 
 def _ratio(u: np.ndarray, v: np.ndarray):
     """alpha with v = alpha * u within SPLIT_ULPS ulps of v's largest entry,
-    or None.  alpha is read at u's largest entry; the same array gives 1."""
-    if u is v:
+    or None.  alpha is read at u's largest entry; equal arrays give exactly
+    1, which a division need not."""
+    if u is v or np.array_equal(u, v):
         return 1.0
     k = int(np.argmax(np.abs(u)))
     if u[k] == 0:

@@ -451,6 +451,7 @@ class TestDecompose:
             assert classify(ess).label == "essential"
             # Bit for bit: each block below the top is the slice of the one above.
             assert ess.sliced().to_payload() == ess.restricted(ctx.depth - 1).to_payload()
+            assert ess.sliced().max_abs_diff(ess) == 0.0
 
     def test_undetermined_raises_with_profile(self):
         ctx = FockContext(2, 4)
