@@ -190,14 +190,14 @@ def _split_last(vec: np.ndarray, n: int):
 
 def _ratio(u: np.ndarray, v: np.ndarray):
     """alpha with v = alpha * u within SPLIT_ULPS ulps of v's largest entry,
-    or None.  alpha is read at u's largest entry; equal arrays give exactly
-    1, which a division need not."""
-    if u is v or np.array_equal(u, v):
+    or None.  alpha is read at u's largest entry, as exactly 1 when v holds
+    the same number there (x / x need not be 1), so equal arrays give 1."""
+    if u is v:
         return 1.0
     k = int(np.argmax(np.abs(u)))
     if u[k] == 0:
         return None
-    alpha = v[k] / u[k]
+    alpha = 1.0 if v[k] == u[k] else v[k] / u[k]
     gap = np.abs(v - alpha * u).max()
     if not gap <= SPLIT_ULPS * np.finfo(float).eps * np.abs(v).max():
         return None
