@@ -24,10 +24,12 @@ the outcome.  Essential states are the slice-invariant ones, so
 
 :class:`BlockOperatorMatrix` is the state side of the block core in
 :mod:`fockstate.fock`, which it shares with the Fock operators: block
-validation, dense views, comparison, sums, scaling and the JSON layout live
-there, as do :class:`Rank1Block` and its per-block helpers
+validation, dense views, comparison, sums and scaling live there, as do
+:class:`Rank1Block` and its per-block helpers
 (``fockstate.density.Rank1Block`` is the same class).  This module adds the
-horizon of meaningful levels and the state algebra.
+horizon of meaningful levels, the state algebra, and the state file: only
+states are written to files, and :meth:`BlockOperatorMatrix.to_payload`
+and :meth:`StateHandle.from_payload` hold its whole layout.
 
 Blocks may be stored dense or as :class:`Rank1Block`; the rank-one form
 keeps deep truncations affordable when a state's blocks are outer products,
@@ -66,12 +68,13 @@ from .fock import (
     FockContext,
     Rank1Block,
     _block_trace,
-    _blocks_from_payload,
     _conj_transpose,
     _entry,
     _fields,
     _integer,
+    _pairs,
     _ptrace_last,
+    _sized_entries,
 )
 from .word_algebra import AlgebraElement
 
@@ -368,6 +371,22 @@ class BlockOperatorMatrix(BlockMatrix):
         diff = self.restricted(self.horizon - 1) - self.sliced()
         return diff.is_positive(tol_scale)
 
+    # -- the state file ------------------------------------------------------
+
+    def to_payload(self) -> dict:
+        """JSON-ready dict {n, K, blocks}: a dense block as its row-major
+        ``entries``, a :class:`Rank1Block` as its ``coeff`` and its
+        ``left``/``right`` factors, all as [re, im] pairs."""
+        blocks = []
+        for (i, j), blk in sorted(self.blocks.items()):
+            if isinstance(blk, Rank1Block):
+                coeff = complex(blk.coeff)
+                blocks.append({"i": i, "j": j, "coeff": [coeff.real, coeff.imag],
+                               "left": _pairs(blk.left), "right": _pairs(blk.right)})
+            else:
+                blocks.append({"i": i, "j": j, "entries": _pairs(blk)})
+        return {"n": self.ctx.n, "K": self.ctx.depth, "blocks": blocks}
+
 
 def fock_vector_state(ctx: FockContext, phi) -> BlockOperatorMatrix:
     """Density matrix of the vector state attached to a finitely supported
@@ -518,6 +537,40 @@ def trace_profile_csv(matrix: BlockOperatorMatrix) -> str:
     return "\n".join(lines)
 
 
+_DENSE_KEYS = ("i", "j", "entries")
+_FACTORED_KEYS = ("i", "j", "coeff", "left", "right")
+
+
+def _blocks_from_payload(ctx: FockContext, records: list) -> dict:
+    """Validate and decode the block records of a state file.  A record holds
+    either its row-major ``entries`` or a ``coeff`` and ``left``/``right``
+    factors, all as [re, im] pairs; the latter becomes a :class:`Rank1Block`,
+    and bit-identical factors are decoded to one shared array."""
+    blocks, factors = {}, {}
+    for rec in records:
+        factored = isinstance(rec, dict) and "coeff" in rec
+        values = _fields(rec, _FACTORED_KEYS if factored else _DENSE_KEYS, "block")
+        i, j = (_integer(index, 0, "block index") for index in values[:2])
+        if i > ctx.depth or j > ctx.depth:
+            raise SchemaError(f"block ({i},{j}) outside levels 0..{ctx.depth}")
+        if (i, j) in blocks:
+            raise SchemaError(f"duplicate block ({i},{j})")
+        rows, cols = ctx.dim(i), ctx.dim(j)
+        if not factored:
+            entries = _sized_entries(values[2], rows * cols, f"block ({i},{j})")
+            blocks[(i, j)] = entries.reshape(rows, cols)
+            continue
+        coeff = _sized_entries([values[2]], 1, f"the coefficient of block ({i},{j})")
+        left = _sized_entries(values[3], rows, f"the left factor of block ({i},{j})")
+        right = _sized_entries(values[4], cols, f"the right factor of block ({i},{j})")
+        if not np.isfinite(abs(coeff[0]) * np.abs(left).max() * np.abs(right).max()):
+            raise SchemaError(f"block ({i},{j}) has entries beyond the float range")
+        blocks[(i, j)] = Rank1Block(complex(coeff[0]),
+                                    factors.setdefault(left.tobytes(), left),
+                                    factors.setdefault(right.tobytes(), right))
+    return blocks
+
+
 @dataclass
 class StateHandle:
     """A density matrix together with optional classification metadata."""
@@ -543,14 +596,13 @@ class StateHandle:
 
     @classmethod
     def from_payload(cls, payload: dict) -> "StateHandle":
-        if not isinstance(payload, dict):
-            raise SchemaError("state payload must be an object")
-        core = {k: v for k, v in payload.items() if k != "metadata"}
-        ctx, blocks = _blocks_from_payload(core, rank_one=True)
+        n, depth, records = _fields(payload, ("n", "K", "blocks"), "state payload",
+                                    optional=("metadata",), lists=("blocks",))
+        ctx = FockContext(_integer(n, 1, "'n'"), _integer(depth, 0, "'K'"))
+        blocks = _blocks_from_payload(ctx, records)
         horizon = ctx.depth
         metadata = payload.get("metadata")
-        if metadata is None:
-            metadata = {}
+        metadata = {} if metadata is None else metadata
         _fields(metadata, (), "metadata",
                 optional=("exact_horizon", "classification", "trace_profile"))
         if "exact_horizon" in metadata:

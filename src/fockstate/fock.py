@@ -11,13 +11,13 @@ so the first letter is most significant.
 
 Operators and states are the same kind of object: a dict of level blocks.
 :class:`BlockMatrix` is the block core they share: block validation, dense
-views, comparison, block sums and scaling, and the JSON layout.  A block is a
-dense array or a :class:`Rank1Block` (``coeff * |left><right|``), which lives
-here together with its per-block helpers; :class:`FockOperator` keeps dense
-blocks only, while the states of :mod:`fockstate.density` keep rank-one
-blocks rank-one.  The codec section below holds the checks that every
-JSON decoder of the package shares: objects and their keys, integers,
-finite numbers, and [re, im] entry lists.
+views, comparison, and block sums and scaling.  A block is a dense array or
+a :class:`Rank1Block` (``coeff * |left><right|``), which lives here together
+with its per-block helpers; :class:`FockOperator` keeps dense blocks only,
+while the states of :mod:`fockstate.density` keep rank-one blocks rank-one
+and hold the state-file layout, as only states are files.  The codec section
+below holds the JSON primitives every decoder of the package shares:
+objects and their keys, integers, finite numbers, and [re, im] entry lists.
 
 Truncation loses whatever an operator sends above level K.  Every
 :class:`FockOperator` therefore has an exact column horizon ``h``: the
@@ -44,7 +44,8 @@ from itertools import chain
 
 import numpy as np
 
-from .errors import AlphabetMismatchError, LetterRangeError, SchemaError
+from .errors import (AlphabetMismatchError, CoefficientRangeError, LetterRangeError,
+                     SchemaError)
 from .word_algebra import AlgebraElement
 
 # A factor splits as a tensor product when the outer product of the split
@@ -217,12 +218,19 @@ def _block_sum(a, b):
     return _dense(a) + _dense(b)
 
 
-def _block_max(block) -> float:
-    """Largest entry modulus; |coeff| max|left| max|right| for a rank-one block."""
-    if isinstance(block, Rank1Block):
-        return float(abs(block.coeff) * np.abs(block.left).max()
-                     * np.abs(block.right).max())
-    return float(np.abs(block).max())
+def _block_max(block, key) -> float:
+    """Largest entry modulus; |coeff| max|left| max|right| for a rank-one
+    block, whose overflow raises CoefficientRangeError naming block ``key``."""
+    if not isinstance(block, Rank1Block):
+        return float(np.abs(block).max())
+    try:
+        bound = float(abs(block.coeff) * np.abs(block.left).max()
+                      * np.abs(block.right).max())
+    except OverflowError:
+        bound = math.inf
+    if not math.isfinite(bound):
+        raise CoefficientRangeError(f"the entries of block {key} overflow")
+    return bound
 
 
 def _dense(block) -> np.ndarray:
@@ -327,7 +335,7 @@ class BlockMatrix:
         worst = 0.0
         for (i, j), blk in self.blocks.items():
             if level_limit is None or max(i, j) <= level_limit:
-                worst = max(worst, _block_max(blk))
+                worst = max(worst, _block_max(blk, (i, j)))
         return worst
 
     def _max_diff(self, other: "BlockMatrix", keep) -> float:
@@ -343,11 +351,11 @@ class BlockMatrix:
                 continue
             mine, theirs = self.blocks.get(key), other.blocks.get(key)
             if mine is None or theirs is None:
-                d = _block_max(theirs if mine is None else mine)
+                d = _block_max(theirs if mine is None else mine, key)
             elif isinstance(mine, np.ndarray) and isinstance(theirs, np.ndarray):
                 d = float(np.abs(mine - theirs).max())
             else:
-                d = _block_max(_block_sum(mine, _scaled(theirs, -1.0)))
+                d = _block_max(_block_sum(mine, _scaled(theirs, -1.0)), key)
             worst = max(worst, d)
         return worst
 
@@ -370,21 +378,6 @@ class BlockMatrix:
 
     def __sub__(self, other):
         return self + (-1.0) * other
-
-    def to_payload(self) -> dict:
-        """JSON-ready dict {n, K, blocks}: a dense block as its row-major
-        ``entries``, a :class:`Rank1Block` as its ``coeff`` and its
-        ``left``/``right`` factors, all as [re, im] pairs."""
-        blocks = []
-        for (i, j) in sorted(self.blocks):
-            blk = self.blocks[(i, j)]
-            if isinstance(blk, Rank1Block):
-                coeff = complex(blk.coeff)
-                blocks.append({"i": i, "j": j, "coeff": [coeff.real, coeff.imag],
-                               "left": _pairs(blk.left), "right": _pairs(blk.right)})
-            else:
-                blocks.append({"i": i, "j": j, "entries": _pairs(blk)})
-        return {"n": self.ctx.n, "K": self.ctx.depth, "blocks": blocks}
 
 
 class FockOperator(BlockMatrix):
@@ -497,16 +490,9 @@ class FockOperator(BlockMatrix):
         return FockOperator(self.ctx, blocks, self.drop_bound, self.raise_bound,
                             self.exact)
 
-    # -- serialization ---------------------------------------------------
-
-    @classmethod
-    def from_payload(cls, payload: dict) -> "FockOperator":
-        """Decode {n, K, blocks} with dense ``entries`` only."""
-        return cls.from_blocks(*_blocks_from_payload(payload))
-
 
 # ---------------------------------------------------------------------------
-# The JSON codec: the payload checks shared by every decoder
+# The JSON codec: the primitives shared by every encoder and decoder
 # ---------------------------------------------------------------------------
 
 
@@ -584,48 +570,6 @@ def _sized_entries(data, size: int, what: str) -> np.ndarray:
     if not isinstance(data, list) or len(data) != size:
         raise SchemaError(f"{what} needs {size} entries")
     return _entries_array(data, what)
-
-
-_DENSE_KEYS = ("i", "j", "entries")
-_FACTORED_KEYS = ("i", "j", "coeff", "left", "right")
-
-
-def _blocks_from_payload(payload: dict, rank_one: bool = False):
-    """Validate and decode the shared {n, K, blocks} layout to (ctx, blocks).
-
-    A block record holds its ``entries`` densely, as row-major [re, im]
-    pairs.  With ``rank_one``, a record may instead hold a ``coeff`` pair
-    and ``left``/``right`` factors as lists of pairs; it is decoded to a
-    :class:`Rank1Block`, and bit-identical factors are decoded to one
-    shared array.  A record never mixes the two kinds.
-    """
-    n, depth, records = _fields(payload, ("n", "K", "blocks"), "operator payload",
-                                lists=("blocks",))
-    ctx = FockContext(_integer(n, 1, "'n'"), _integer(depth, 0, "'K'"))
-    blocks = {}
-    factors = {}
-    for rec in records:
-        factored = rank_one and isinstance(rec, dict) and "coeff" in rec
-        values = _fields(rec, _FACTORED_KEYS if factored else _DENSE_KEYS, "block")
-        i, j = (_integer(index, 0, "block index") for index in values[:2])
-        if i > depth or j > depth:
-            raise SchemaError(f"block ({i},{j}) outside levels 0..{depth}")
-        if (i, j) in blocks:
-            raise SchemaError(f"duplicate block ({i},{j})")
-        rows, cols = ctx.dim(i), ctx.dim(j)
-        if not factored:
-            entries = _sized_entries(values[2], rows * cols, f"block ({i},{j})")
-            blocks[(i, j)] = entries.reshape(rows, cols)
-            continue
-        coeff = _sized_entries([values[2]], 1, f"the coefficient of block ({i},{j})")
-        left = _sized_entries(values[3], rows, f"the left factor of block ({i},{j})")
-        right = _sized_entries(values[4], cols, f"the right factor of block ({i},{j})")
-        if not np.isfinite(abs(coeff[0]) * np.abs(left).max() * np.abs(right).max()):
-            raise SchemaError(f"block ({i},{j}) has entries beyond the float range")
-        blocks[(i, j)] = Rank1Block(complex(coeff[0]),
-                                    factors.setdefault(left.tobytes(), left),
-                                    factors.setdefault(right.tobytes(), right))
-    return ctx, blocks
 
 
 # ---------------------------------------------------------------------------

@@ -14,11 +14,7 @@ from fockstate.density import BlockOperatorMatrix, Rank1Block, StateHandle
 from fockstate.errors import AlphabetMismatchError, SchemaError
 from fockstate.fock import FockContext, FockOperator
 from fockstate.measures import CircleMeasure
-from fockstate.product_states import (
-    UnitVectorSequence,
-    extend,
-    parse_extension_request,
-)
+from fockstate.product_states import UnitVectorSequence, parse_extension_request
 
 CTX = FockContext(2, 1)
 CONTAINERS = [FockOperator.from_blocks, BlockOperatorMatrix]
@@ -69,22 +65,12 @@ def test_operator_blocks_are_dense_state_blocks_stay_rank_one():
     assert state.blocks[(1, 1)] is block
 
 
-def test_operator_payload_rejects_factored_blocks():
-    seq = UnitVectorSequence(2, [], [np.array([1.0, 0.0])])
-    payload = extend(seq, CircleMeasure.haar(), 2).to_payload()
-    del payload["metadata"]
-    assert any("coeff" in rec for rec in payload["blocks"])
-    with pytest.raises(SchemaError, match="unknown keys in block"):
-        FockOperator.from_payload(payload)
-
-
 # One valid payload per decoder; each must reject a non-object, every
 # missing required key and an unknown key.
 STATE = {"n": 1, "K": 0, "blocks": [{"i": 0, "j": 0, "entries": [[1.0, 0.0]]}]}
 SEQUENCE = {"n": 1, "prefix": [], "cycle": [[[1.0, 0.0]]]}
 MEASURE = {"haar_weight": 1.0, "atoms": []}
 DECODERS = {
-    "operator": (FockOperator.from_payload, lambda p: p, STATE),
     "state": (StateHandle.from_payload, lambda p: p, STATE),
     "metadata": (StateHandle.from_payload, lambda p: {**STATE, "metadata": p},
                  {"exact_horizon": 0}),
@@ -99,6 +85,17 @@ DECODERS = {
                 {"sequence": SEQUENCE, "measure": MEASURE, "depth": 1}),
 }
 REQUIRED = {"metadata": ()}
+
+
+# State files with one bad block record each (n=2, K=1).
+RECORD = {"i": 0, "j": 0, "entries": [[1.0, 0.0]]}
+BAD_RECORDS = {
+    "entry count": [{**RECORD, "entries": [[1.0, 0.0]] * 2}],
+    "row level": [{**RECORD, "i": 2}],
+    "column level": [{**RECORD, "j": 5}],
+    "duplicate": [RECORD, {**RECORD, "entries": [[2.0, 0.0]]}],
+    "unknown block key": [{**RECORD, "name": "x"}],
+}
 
 
 def malformed(name):
@@ -116,6 +113,9 @@ def test_decoder_accepts_its_valid_payload(name):
 
 
 @pytest.mark.parametrize("name, label, payload", [
+    ("state", label, {"n": 2, "K": 1, "blocks": blocks})
+    for label, blocks in BAD_RECORDS.items()
+] + [
     (name, label, payload) for name in DECODERS for label, payload in malformed(name)
 ])
 def test_decoder_rejects_malformed_objects(name, label, payload):
@@ -125,8 +125,8 @@ def test_decoder_rejects_malformed_objects(name, label, payload):
 
 
 @pytest.mark.parametrize("decode, payload", [
-    (FockOperator.from_payload, {**STATE, "n": True}),
-    (FockOperator.from_payload, {**STATE, "K": -1}),
+    (StateHandle.from_payload, {**STATE, "n": True}),
+    (StateHandle.from_payload, {**STATE, "K": -1}),
     (UnitVectorSequence.from_payload, {**SEQUENCE, "n": 0}),
     (UnitVectorSequence.from_payload, {**SEQUENCE, "n": 1.0}),
     (parse_extension_request,

@@ -529,6 +529,23 @@ class TestStateEvalOverflow:
         assert np.isnan(state_eval(mat, AlgebraElement.one(2)))
 
 
+def test_overflowing_rank_one_bound_names_the_block():
+    """Slicing doubles the coefficient 0.75e308 (1 + i) of block (1, 2) to a
+    finite complex number whose modulus overflows."""
+    ctx = FockContext(2, 2)
+    mat = BlockOperatorMatrix.from_blocks(ctx, {
+        (0, 0): np.ones((1, 1)),
+        (1, 2): Rank1Block(0.75e308 * (1 + 1j), np.ones(2, complex), np.ones(4, complex)),
+    })
+    message = r"the entries of block \(0, 1\) overflow"
+    with pytest.raises(CoefficientRangeError, match=message):
+        mat.sliced().max_abs()
+    with pytest.raises(CoefficientRangeError, match=message):
+        mat.sliced().max_abs_diff(mat)
+    with pytest.raises(CoefficientRangeError, match=message):
+        decompose(mat)
+
+
 class TestGramNaN:
     def test_nan_state_fails_gram_check(self):
         ctx = FockContext(2, 1)
@@ -676,11 +693,9 @@ class TestPayload:
         with pytest.raises(SchemaError, match="duplicate"):
             StateHandle.from_payload(payload)
 
-    def test_operator_payload_stays_dense(self):
+    def test_state_payload_decodes_factored_block(self):
         payload = {"n": 2, "K": 1, "blocks": [self.FACTORED]}
         assert StateHandle.from_payload(payload).matrix.entry(1, 1, 0, 0) == 0.5
-        with pytest.raises(SchemaError, match="unknown keys"):
-            FockOperator.from_payload(payload)
 
     def test_vectorized_encoding_matches_per_entry_encoding(self):
         rng = np.random.default_rng(SEED + 39)

@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import SEED
-from fockstate.errors import LetterRangeError, SchemaError
+from fockstate.errors import LetterRangeError
 from fockstate.fock import (
     FockContext,
     FockOperator,
@@ -433,45 +433,3 @@ class TestVectors:
         lhs = inner_product(apply_operator(a, u), v)
         rhs = inner_product(u, apply_operator(a.adjoint(), v))
         assert lhs == pytest.approx(rhs, abs=1e-10)
-
-
-class TestPayload:
-    def test_roundtrip(self):
-        rng = np.random.default_rng(SEED + 18)
-        ctx = FockContext(2, 3)
-        op = random_supported_operator(rng, ctx, 2)
-        back = FockOperator.from_payload(op.to_payload())
-        assert back.diff(op) <= 1e-15
-        assert back.ctx.compatible(ctx)
-
-    def test_rejects_unknown_keys(self):
-        payload = {"n": 2, "K": 1, "blocks": [], "extra": 1}
-        with pytest.raises(SchemaError):
-            FockOperator.from_payload(payload)
-
-    def test_rejects_bad_block(self):
-        with pytest.raises(SchemaError):
-            FockOperator.from_payload(
-                {"n": 2, "K": 1, "blocks": [{"i": 0, "j": 0, "entries": [[0, 0], [1, 0]]}]}
-            )
-        with pytest.raises(SchemaError):
-            FockOperator.from_payload(
-                {"n": 2, "K": 1, "blocks": [{"i": 0, "j": 5, "entries": [[0, 0]]}]}
-            )
-        with pytest.raises(SchemaError):
-            FockOperator.from_payload(
-                {"n": 2, "K": 1, "blocks": [{"i": 0, "j": 0, "entries": [[0, 0]],
-                                             "name": "x"}]}
-            )
-
-    def test_rejects_duplicate_block(self):
-        with pytest.raises(SchemaError):
-            FockOperator.from_payload(
-                {"n": 2, "K": 1,
-                 "blocks": [{"i": 0, "j": 0, "entries": [[1, 0]]},
-                            {"i": 0, "j": 0, "entries": [[2, 0]]}]}
-            )
-
-    def test_rejects_missing_keys(self):
-        with pytest.raises(SchemaError):
-            FockOperator.from_payload({"n": 2, "blocks": []})
