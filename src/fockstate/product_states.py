@@ -19,6 +19,7 @@ from .density import BlockOperatorMatrix, StateHandle
 from .errors import HorizonError, SchemaError
 from .fock import FockContext, Rank1Block, _fields, _integer, _pairs, _scaled, _sized_entries
 from .measures import CircleMeasure, MomentSequence, fourier
+from .word_algebra import UNIMODULAR_TOL
 
 __all__ = [
     "UNIT_NORM_TOL",
@@ -282,7 +283,7 @@ def gauge_transform(state, lam: complex):
     bare matrix and returns the same kind.
     """
     lam = complex(lam)
-    if abs(abs(lam) - 1.0) > 1e-12:
+    if abs(abs(lam) - 1.0) > UNIMODULAR_TOL:
         raise ValueError("gauge parameter must be unimodular")
     is_handle = isinstance(state, StateHandle)
     matrix = state.matrix if is_handle else state
