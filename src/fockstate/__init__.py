@@ -3,137 +3,23 @@
 States of the algebra generated by n isometries with orthogonal ranges,
 the slice calculus on their density matrices, and the circle-measure
 extension family attached to a product state.
+
+The package re-exports the public names of each module, as listed in that
+module's ``__all__``.
 """
 
 __version__ = "0.1.0"
 
-from .errors import (
-    AlphabetMismatchError,
-    CoefficientRangeError,
-    ExpressionSyntaxError,
-    FockstateError,
-    HorizonError,
-    InsufficientMomentsError,
-    LetterRangeError,
-    SchemaError,
-    UndeterminedError,
-)
-from .word_algebra import (
-    AlgebraElement,
-    conditional_expectation,
-    gauge_apply,
-    parse_expression,
-)
-from .fock import (
-    FockContext,
-    FockOperator,
-    apply_operator,
-    basis_vector,
-    inner_product,
-    left_create,
-    represent,
-    right_create,
-    shift,
-    shift_defect,
-    shift_series,
-    vector_norm,
-    zero_vector,
-)
-from .density import (
-    BlockOperatorMatrix,
-    CheckResult,
-    ClassifyResult,
-    DecomposeResult,
-    Rank1Block,
-    StateHandle,
-    classify,
-    decompose,
-    fock_vector_state,
-    gram_matrix,
-    gram_positivity_check,
-    state_eval,
-    trace_profile_csv,
-)
-from .measures import (
-    CircleMeasure,
-    HerglotzResult,
-    MomentSequence,
-    atomic_from_moments,
-    fourier,
-    herglotz_check,
-    moment_window,
-)
-from .product_states import (
-    UnitVectorSequence,
-    elementary_tensors,
-    extend,
-    extension_coefficients,
-    gauge_transform,
-    is_rephased,
-    parse_extension_request,
-    period,
-    product_state,
-    recover_measure_moments,
-    rephase,
-)
+from . import density, errors, fock, measures, product_states, word_algebra
+from .density import *
+from .errors import *
+from .fock import *
+from .measures import *
+from .product_states import *
+from .word_algebra import *
 
-__all__ = [
-    "__version__",
-    "FockstateError",
-    "AlphabetMismatchError",
-    "CoefficientRangeError",
-    "LetterRangeError",
-    "ExpressionSyntaxError",
-    "HorizonError",
-    "UndeterminedError",
-    "InsufficientMomentsError",
-    "SchemaError",
-    "AlgebraElement",
-    "gauge_apply",
-    "conditional_expectation",
-    "parse_expression",
-    "FockContext",
-    "FockOperator",
-    "left_create",
-    "right_create",
-    "represent",
-    "shift",
-    "shift_defect",
-    "shift_series",
-    "zero_vector",
-    "basis_vector",
-    "apply_operator",
-    "inner_product",
-    "vector_norm",
-    "BlockOperatorMatrix",
-    "Rank1Block",
-    "StateHandle",
-    "CheckResult",
-    "ClassifyResult",
-    "DecomposeResult",
-    "classify",
-    "decompose",
-    "fock_vector_state",
-    "gram_matrix",
-    "gram_positivity_check",
-    "state_eval",
-    "trace_profile_csv",
-    "CircleMeasure",
-    "MomentSequence",
-    "HerglotzResult",
-    "fourier",
-    "moment_window",
-    "herglotz_check",
-    "atomic_from_moments",
-    "UnitVectorSequence",
-    "period",
-    "rephase",
-    "is_rephased",
-    "elementary_tensors",
-    "product_state",
-    "extension_coefficients",
-    "extend",
-    "gauge_transform",
-    "recover_measure_moments",
-    "parse_extension_request",
+__all__ = ["__version__"] + [
+    name
+    for module in (errors, word_algebra, fock, density, measures, product_states)
+    for name in module.__all__
 ]

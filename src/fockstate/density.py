@@ -25,11 +25,11 @@ the outcome.  Essential states are the slice-invariant ones, so
 :class:`BlockOperatorMatrix` is the state side of the block core in
 :mod:`fockstate.fock`, which it shares with the Fock operators: block
 validation, dense views, comparison, sums and scaling live there, as do
-:class:`Rank1Block` and its per-block helpers
-(``fockstate.density.Rank1Block`` is the same class).  This module adds the
+:class:`Rank1Block` and its per-block helpers.  This module adds the
 horizon of meaningful levels, the state algebra, and the state file: only
-states are written to files, and :meth:`BlockOperatorMatrix.to_payload`
-and :meth:`StateHandle.from_payload` hold its whole layout.
+states are written to files, and :meth:`StateHandle.to_payload` and
+:meth:`StateHandle.from_payload` hold its whole layout, the horizon
+included.
 
 Blocks may be stored dense or as :class:`Rank1Block`; the rank-one form
 keeps deep truncations affordable when a state's blocks are outer products,
@@ -86,7 +86,6 @@ __all__ = [
     "EQUALITY_TOL",
     "PSD_TOL_SCALE",
     "HERMITIAN_TOL",
-    "Rank1Block",
     "BlockOperatorMatrix",
     "CheckResult",
     "ClassifyResult",
@@ -371,22 +370,6 @@ class BlockOperatorMatrix(BlockMatrix):
         diff = self.restricted(self.horizon - 1) - self.sliced()
         return diff.is_positive(tol_scale)
 
-    # -- the state file ------------------------------------------------------
-
-    def to_payload(self) -> dict:
-        """JSON-ready dict {n, K, blocks}: a dense block as its row-major
-        ``entries``, a :class:`Rank1Block` as its ``coeff`` and its
-        ``left``/``right`` factors, all as [re, im] pairs."""
-        blocks = []
-        for (i, j), blk in sorted(self.blocks.items()):
-            if isinstance(blk, Rank1Block):
-                coeff = complex(blk.coeff)
-                blocks.append({"i": i, "j": j, "coeff": [coeff.real, coeff.imag],
-                               "left": _pairs(blk.left), "right": _pairs(blk.right)})
-            else:
-                blocks.append({"i": i, "j": j, "entries": _pairs(blk)})
-        return {"n": self.ctx.n, "K": self.ctx.depth, "blocks": blocks}
-
 
 def fock_vector_state(ctx: FockContext, phi) -> BlockOperatorMatrix:
     """Density matrix of the vector state attached to a finitely supported
@@ -579,20 +562,31 @@ class StateHandle:
     classification: str | None = None
 
     def to_payload(self) -> dict:
-        """JSON-ready state file.  Raises ValueError for a horizon below 0
-        (such as the slice of a K=0 state): no level of it is meaningful,
-        and ``exact_horizon`` must lie in 0..K to load again."""
-        if self.matrix.horizon < 0:
+        """JSON-ready state file {n, K, blocks, metadata}: a dense block as
+        its row-major ``entries``, a :class:`Rank1Block` as its ``coeff``
+        and its ``left``/``right`` factors, all as [re, im] pairs.  Raises
+        ValueError for a horizon below 0 (such as the slice of a K=0 state):
+        no level of it is meaningful, and ``exact_horizon`` must lie in 0..K
+        to load again."""
+        matrix = self.matrix
+        if matrix.horizon < 0:
             raise ValueError(
-                f"horizon {self.matrix.horizon} is below 0: no level is meaningful"
+                f"horizon {matrix.horizon} is below 0: no level is meaningful"
             )
-        payload = self.matrix.to_payload()
-        payload["metadata"] = {
-            "exact_horizon": self.matrix.horizon,
-            "classification": self.classification,
-            "trace_profile": [float(x) for x in self.matrix.trace_profile()],
-        }
-        return payload
+        blocks = []
+        for (i, j), blk in sorted(matrix.blocks.items()):
+            if isinstance(blk, Rank1Block):
+                coeff = complex(blk.coeff)
+                blocks.append({"i": i, "j": j, "coeff": [coeff.real, coeff.imag],
+                               "left": _pairs(blk.left), "right": _pairs(blk.right)})
+            else:
+                blocks.append({"i": i, "j": j, "entries": _pairs(blk)})
+        return {"n": matrix.ctx.n, "K": matrix.ctx.depth, "blocks": blocks,
+                "metadata": {
+                    "exact_horizon": matrix.horizon,
+                    "classification": self.classification,
+                    "trace_profile": [float(x) for x in matrix.trace_profile()],
+                }}
 
     @classmethod
     def from_payload(cls, payload: dict) -> "StateHandle":

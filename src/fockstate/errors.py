@@ -2,6 +2,18 @@
 
 from __future__ import annotations
 
+__all__ = [
+    "FockstateError",
+    "AlphabetMismatchError",
+    "LetterRangeError",
+    "CoefficientRangeError",
+    "ExpressionSyntaxError",
+    "HorizonError",
+    "UndeterminedError",
+    "InsufficientMomentsError",
+    "SchemaError",
+]
+
 
 class FockstateError(Exception):
     """Base class for all errors raised by this package."""

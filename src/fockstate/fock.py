@@ -14,10 +14,12 @@ Operators and states are the same kind of object: a dict of level blocks.
 views, comparison, and block sums and scaling.  A block is a dense array or
 a :class:`Rank1Block` (``coeff * |left><right|``), which lives here together
 with its per-block helpers; :class:`FockOperator` keeps dense blocks only,
-while the states of :mod:`fockstate.density` keep rank-one blocks rank-one
-and hold the state-file layout, as only states are files.  The codec section
-below holds the JSON primitives every decoder of the package shares:
-objects and their keys, integers, finite numbers, and [re, im] entry lists.
+and two operators multiply with ``@`` (``*`` takes a scalar), while the
+states of :mod:`fockstate.density` keep rank-one blocks rank-one and hold
+the state-file layout in ``StateHandle``, as only states are files.  The
+codec section below holds the JSON primitives every decoder of the package
+shares: objects and their keys, integers, finite numbers, and [re, im]
+entry lists.
 
 Truncation loses whatever an operator sends above level K.  Every
 :class:`FockOperator` therefore has an exact column horizon ``h``: the
@@ -456,19 +458,13 @@ class FockOperator(BlockMatrix):
                             max(self.drop_bound, other.drop_bound),
                             self.exact and other.exact)
 
-    def __neg__(self) -> "FockOperator":
-        return (-1.0) * self
-
     def __rmul__(self, scalar) -> "FockOperator":
         if isinstance(scalar, FockOperator):
             return NotImplemented
         return FockOperator(self.ctx, self._scaled_blocks(scalar),
                             self.raise_bound, self.drop_bound, self.exact)
 
-    def __mul__(self, scalar) -> "FockOperator":
-        if isinstance(scalar, FockOperator):
-            return self.__matmul__(scalar)
-        return self.__rmul__(scalar)
+    __mul__ = __rmul__
 
     def __matmul__(self, other: "FockOperator") -> "FockOperator":
         self._require_same_context(other)
@@ -671,9 +667,10 @@ def shift_series(op: FockOperator) -> FockOperator:
     cur = op
     for _ in range(op.ctx.depth):
         cur = shift(cur)
+        # Added even when empty: blocks that fell off level K leave it inexact.
+        acc = acc + cur
         if not cur.blocks:
             break
-        acc = acc + cur
     return acc
 
 

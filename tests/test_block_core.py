@@ -124,6 +124,23 @@ def test_decoder_rejects_malformed_objects(name, label, payload):
         decode(wrap(payload))
 
 
+# Values of the right shape that a decoder must still refuse, by message.
+BAD_VALUES = {
+    "blocks not a list": ("state", {**STATE, "blocks": {}}, "'blocks' must be a list"),
+    "huge integer": ("measure", {**MEASURE, "haar_weight": 10**400},
+                     "beyond the float range"),
+    "classification": ("metadata", {"classification": 5},
+                       "'classification' must be a string"),
+}
+
+
+@pytest.mark.parametrize("name, payload, message", BAD_VALUES.values(), ids=BAD_VALUES)
+def test_decoder_names_the_bad_value(name, payload, message):
+    decode, wrap, _ = DECODERS[name]
+    with pytest.raises(SchemaError, match=message):
+        decode(json.loads(json.dumps(wrap(payload))))
+
+
 @pytest.mark.parametrize("decode, payload", [
     (StateHandle.from_payload, {**STATE, "n": True}),
     (StateHandle.from_payload, {**STATE, "K": -1}),

@@ -18,8 +18,8 @@ from fockstate.density import (
     state_eval,
     trace_profile_csv,
 )
-from fockstate.errors import (CoefficientRangeError, HorizonError, SchemaError,
-                              UndeterminedError)
+from fockstate.errors import (AlphabetMismatchError, CoefficientRangeError, HorizonError,
+                              SchemaError, UndeterminedError)
 from fockstate.fock import (
     FockContext,
     FockOperator,
@@ -66,6 +66,26 @@ def vector_state_value(ctx, phi_levels, element):
     vec = [a / norm for a in vec]
     op = represent(ctx, element)
     return inner_product(apply_operator(op, vec), vec)
+
+
+CTX = FockContext(2, 1)
+BAD_INPUT = {
+    "too many levels": (lambda: fock_vector_state(CTX, [[1], [1, 0], [1, 0, 0, 0]]),
+                        ValueError, "beyond the truncation depth"),
+    "level size": (lambda: fock_vector_state(CTX, [[1], [1, 0, 0]]), ValueError,
+                   "level 1 has 3 coefficients, expected 2"),
+    "alphabet mismatch": (lambda: state_eval(BlockOperatorMatrix.vacuum(CTX),
+                                             AlgebraElement.one(3)),
+                          AlphabetMismatchError, "alphabet of size 3"),
+    "corner K+1": (lambda: BlockOperatorMatrix.vacuum(CTX).corner(2), ValueError,
+                   "outside depth"),
+}
+
+
+@pytest.mark.parametrize("call, error, message", BAD_INPUT.values(), ids=BAD_INPUT)
+def test_rejects_bad_input(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
 
 
 class TestRank1Block:
@@ -450,7 +470,8 @@ class TestDecompose:
             assert ess.trace() == pytest.approx(w[0] + w[1], abs=1e-12)
             assert classify(ess).label == "essential"
             # Bit for bit: each block below the top is the slice of the one above.
-            assert ess.sliced().to_payload() == ess.restricted(ctx.depth - 1).to_payload()
+            assert (StateHandle(ess.sliced()).to_payload()
+                    == StateHandle(ess.restricted(ctx.depth - 1)).to_payload())
             assert ess.sliced().max_abs_diff(ess) == 0.0
 
     def test_undetermined_raises_with_profile(self):
@@ -568,10 +589,29 @@ class TestPayload:
 
     def test_metadata_optional(self):
         ctx = FockContext(2, 2)
-        payload = BlockOperatorMatrix.vacuum(ctx).to_payload()
+        payload = StateHandle(BlockOperatorMatrix.vacuum(ctx)).to_payload()
+        del payload["metadata"]
         handle = StateHandle.from_payload(payload)
         assert handle.matrix.horizon == 2
         assert handle.classification is None
+
+    @pytest.mark.parametrize("cut", ["sliced", "restricted"])
+    def test_roundtrip_below_depth_keeps_horizon_and_label(self, cut):
+        """A state known only below K reloads with that horizon: its top
+        level stays unreadable and it classifies as before."""
+        seq = rephase(UnitVectorSequence(2, [], [[1, 0], [0.6, 0.8]]))
+        full = extend(seq, CircleMeasure.point_mass(0.7), 4).matrix
+        mat = full.sliced() if cut == "sliced" else full.restricted(3)
+        label = classify(mat).label
+        assert label == "essential"
+        text = json.dumps(StateHandle(mat, label).to_payload())
+        back = StateHandle.from_payload(json.loads(text)).matrix
+        assert back.horizon == mat.horizon == 3
+        assert classify(back).label == label
+        assert back.is_decreasing().ok
+        assert back.max_abs_diff(mat) == 0.0
+        with pytest.raises(HorizonError):
+            back.monomial_value((1, 1, 1, 1), ())
 
     def test_rejects_unknown_metadata(self):
         ctx = FockContext(2, 2)

@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import SEED
-from fockstate.errors import LetterRangeError
+from fockstate.errors import AlphabetMismatchError, LetterRangeError
 from fockstate.fock import (
     FockContext,
     FockOperator,
@@ -67,6 +67,28 @@ class TestIndexing:
         ctx = FockContext(2, 2)
         with pytest.raises(LetterRangeError):
             ctx.word_index((3,))
+
+
+CTX = FockContext(2, 2)
+BAD_INPUT = {
+    "alphabet 0": (lambda: FockContext(0, 1), ValueError, "alphabet size"),
+    "depth -1": (lambda: FockContext(2, -1), ValueError, "truncation depth"),
+    "letter 3": (lambda: right_create(CTX, 3), LetterRangeError, "outside 1..2"),
+    "alphabet mismatch": (lambda: represent(CTX, AlgebraElement.one(3)),
+                          AlphabetMismatchError, "alphabet of size 3"),
+    "level K+1": (lambda: FockOperator.level_projection(CTX, 3), ValueError,
+                  "outside 0..2"),
+    "corner -1": (lambda: FockOperator.corner_projection(CTX, -1), ValueError,
+                  "outside 0..2"),
+    "corner K+1": (lambda: FockOperator.identity(CTX).corner(3), ValueError,
+                   "outside depth"),
+}
+
+
+@pytest.mark.parametrize("call, error, message", BAD_INPUT.values(), ids=BAD_INPUT)
+def test_rejects_bad_input(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
 
 
 class TestCreations:
@@ -247,6 +269,20 @@ class TestShift:
                     prod = shifts_a[i] @ shifts_b[j]
                     assert prod.max_abs() <= 1e-13
 
+    def test_series_is_inexact_once_a_shift_empties(self):
+        """The last shift pushes every block off level K; the series must
+        give up the top column, which the untruncated series fills."""
+        x = np.arange(8, dtype=complex).reshape(4, 2) + 1
+        series = shift_series(FockOperator.from_blocks(FockContext(2, 4), {(2, 1): x}))
+        deep = shift_series(FockOperator.from_blocks(FockContext(2, 7), {(2, 1): x}))
+        assert not series.exact
+        assert series.horizon == 3
+        assert np.any(deep.block(5, 4))
+        for j in range(series.horizon + 1):
+            for i in range(8):
+                expected = series.block(i, j) if i <= 4 else np.zeros_like(deep.block(i, j))
+                assert np.array_equal(deep.block(i, j), expected), (i, j)
+
     def test_shift_is_multiplicative_on_products(self):
         rng = np.random.default_rng(SEED + 16)
         ctx = FockContext(2, 5)
@@ -255,6 +291,19 @@ class TestShift:
         lhs = shift(a @ b)
         rhs = shift(a) @ shift(b)
         assert lhs.diff(rhs, col_limit=min(lhs.horizon, rhs.horizon)) <= 1e-11
+
+
+class TestArithmetic:
+    def test_star_scales_and_refuses_operators(self):
+        ctx = FockContext(2, 3)
+        op = left_create(ctx, 1)
+        for scaled in (2 * op, op * 2):
+            assert scaled.diff(op + op) == 0.0
+            assert scaled.horizon == op.horizon
+        with pytest.raises(TypeError):
+            op * op
+        with pytest.raises(TypeError):
+            -op
 
 
 class TestHorizons:
@@ -317,16 +366,16 @@ class TestHorizons:
 EXACT_COEFFS = st.sampled_from([1.0, -1.0, 2.0, -0.5, 1j, -1j, 1 + 1j])
 
 _BINARY = {"+": operator.add, "@": operator.matmul}
-_UNARY = {"adjoint": FockOperator.adjoint, "shift": shift}
+_UNARY = {"adjoint": FockOperator.adjoint, "shift": shift, "series": shift_series}
 
 
 @st.composite
 def fock_expressions(draw, n, depth, height=3):
     """Recipe of an operator expression: a leaf (``represent``,
     ``right_create``, ``level_projection``, ``from_blocks`` on levels
-    0..depth), or ``+``, ``@``, ``adjoint``, ``shift`` or a scalar multiple
-    of smaller recipes."""
-    kinds = ["leaf"] + (["+", "@", "adjoint", "shift", "scale"] if height else [])
+    0..depth), or ``+``, ``@``, ``adjoint``, ``shift``, ``series``
+    (``shift_series``) or a scalar multiple of smaller recipes."""
+    kinds = ["leaf"] + (["+", "@", "scale", *_UNARY] if height else [])
     kind = draw(st.sampled_from(kinds))
     sub = fock_expressions(n, depth, height - 1)
     if kind in _BINARY:
@@ -380,6 +429,8 @@ def excursion(recipe) -> int:
     kind, *args = recipe
     if kind in _BINARY:
         return excursion(args[0]) + excursion(args[1])
+    if kind == "series":
+        return excursion(args[0]) + 3
     if kind in _UNARY or kind == "scale":
         return excursion(args[-1])
     if kind == "represent":

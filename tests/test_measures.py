@@ -24,6 +24,21 @@ def random_atomic(rng, n_atoms):
     return CircleMeasure.from_atoms(zip(angles.tolist(), weights.tolist()))
 
 
+BAD_INPUT = {
+    "haar weight -0.5": (lambda: CircleMeasure(haar_weight=-0.5), r"outside \[0, 1\]"),
+    "haar weight 1.5": (lambda: CircleMeasure(haar_weight=1.5), r"outside \[0, 1\]"),
+    "nan angle": (lambda: CircleMeasure(atoms=((float("nan"), 1.0),)), "must be finite"),
+    "no moments": (lambda: MomentSequence([]), "at least the zeroth moment"),
+    "window -1": (lambda: moment_window(CircleMeasure.haar(), -1), "window must be >= 0"),
+}
+
+
+@pytest.mark.parametrize("call, message", BAD_INPUT.values(), ids=BAD_INPUT)
+def test_rejects_bad_input(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 class TestCircleMeasure:
     def test_mass_invariant(self):
         with pytest.raises(ValueError):

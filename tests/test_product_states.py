@@ -52,6 +52,22 @@ def convexify(m1: CircleMeasure, m2: CircleMeasure, t: float) -> CircleMeasure:
     )
 
 
+BAD_INPUT = {
+    "rephase period 0": (lambda: rephase(constant_sequence(2), 0),
+                         "period must be a positive integer"),
+    "recover p 0": (lambda: recover_measure_moments(product_state(constant_sequence(2), 2),
+                                                    constant_sequence(2), 0, 1),
+                    "need p >= 1"),
+    "vector 0": (lambda: constant_sequence(2).vector(0), "indices start at 1"),
+}
+
+
+@pytest.mark.parametrize("call, message", BAD_INPUT.values(), ids=BAD_INPUT)
+def test_rejects_bad_input(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 class TestSequence:
     def test_vector_lookup(self):
         rng = np.random.default_rng(SEED)
